@@ -54,7 +54,7 @@ import json
 import os
 import re
 import sys
-from dataclasses import dataclass, field as dc_field
+from dataclasses import asdict, dataclass, field as dc_field
 from pathlib import Path
 
 import numpy as np
@@ -62,14 +62,12 @@ from scipy.stats import qmc
 
 from .algebra import build_basis
 from .errors import GeomstatesError, InvariantViolationError
-from .poly import PolyVectorField
+from .poly import Poly, PolyVectorField
 from .states import max_bloch_radius, StateCoordinates
 from .tensors import (
     field_csv_rows,
     gradient_vf,
     hamiltonian_vf,
-    jordan_bracket,
-    poisson_bracket,
     poisson_field,
     symmetric_field,
 )
@@ -158,52 +156,6 @@ def _x0_of(params, basis):
     return x0
 
 
-def _setup_bloch_field(params):
-    basis = build_basis(2)
-    obs = _b_observable(basis, params["B"])
-    ham = hamiltonian_vf(basis, obs)
-    grad = gradient_vf(basis, obs)
-    B = np.asarray(params["B"], dtype=float)
-    u = B / np.linalg.norm(B)
-    return RunSetup(
-        name="bloch-field",
-        basis=basis,
-        generator=ham,
-        fields={"hamiltonian": ham, "gradient-descent": -grad},
-        outputs=("field-samples", "trajectory"),
-        x0=_x0_of(params, basis),
-        anchors=_axis_anchors(u),
-    )
-
-
-def _setup_phase_damping(params):
-    basis = build_basis(2)
-    Z = lindblad_vf(model_phase_damping(params["gamma"]))
-    return RunSetup(
-        name="phase-damping",
-        basis=basis,
-        generator=Z,
-        fields={"generator": Z},
-        outputs=("field-samples", "trajectory"),
-        x0=_x0_of(params, basis),
-        anchors=_axis_anchors([0.0, 0.0, 1.0]),
-    )
-
-
-def _setup_qubit_dissipation(params):
-    basis = build_basis(2)
-    Z = lindblad_vf(model_qubit_dissipation(params["gamma"]))
-    return RunSetup(
-        name="qubit-dissipation",
-        basis=basis,
-        generator=Z,
-        fields={"generator": Z},
-        outputs=("field-samples", "trajectory"),
-        x0=_x0_of(params, basis),
-        anchors=_axis_anchors([0.0, 0.0, 1.0]),
-    )
-
-
 def _diag_anchors(basis):
     """Origin plus small displacements along the diagonal coordinates."""
     anchors = [np.zeros(basis.m)]
@@ -218,116 +170,90 @@ def _diag_anchors(basis):
     return anchors
 
 
-def _setup_massive_decoherence(params):
-    d = int(params["d"])
-    basis = build_basis(d)
-    Z = model_massive_decoherence(d, params["gamma"])
+def _run_setup(name, basis, params, fields, anchors):
+    """RunSetup whose generator is the first field listed."""
     return RunSetup(
-        name="massive-decoherence",
+        name=name,
         basis=basis,
-        generator=Z,
-        fields={"generator": Z},
+        generator=next(iter(fields.values())),
+        fields=fields,
         outputs=("field-samples", "trajectory"),
         x0=_x0_of(params, basis),
-        anchors=_diag_anchors(basis),
+        anchors=anchors,
     )
 
 
-def _setup_pure_decoherence(params):
-    d = int(params["d"])
-    basis = build_basis(d)
-    g = float(params["gamma"])
-    Z = model_pure_decoherence(d, (d - 1) * (g,))
-    return RunSetup(
-        name="pure-decoherence",
-        basis=basis,
-        generator=Z,
-        fields={"generator": Z},
-        outputs=("field-samples", "trajectory"),
-        x0=_x0_of(params, basis),
-        anchors=_diag_anchors(basis),
+def _b_qubit(name, fields_of, params):
+    """Qubit model built from the observable ``B``, anchored on its axis."""
+    basis = build_basis(2)
+    obs = _b_observable(basis, params["B"])
+    B = obs.traceless_coeffs
+    fields = fields_of(basis, obs)
+    return _run_setup(name, basis, params, fields, _axis_anchors(B / np.linalg.norm(B)))
+
+
+def _axis_qubit(name, model, params):
+    """Lindblad qubit model of rate ``gamma``, anchored on the z axis."""
+    basis = build_basis(2)
+    Z = lindblad_vf(model(params["gamma"]))
+    return _run_setup(
+        name, basis, params, {"generator": Z}, _axis_anchors([0.0, 0.0, 1.0])
     )
 
 
-def _setup_three_level_decay(params):
+def _decoherence(name, model, params):
+    """``d``-level decoherence model of rate ``gamma``."""
+    d = int(params["d"])
+    basis = build_basis(d)
+    Z = model(d, params["gamma"])
+    return _run_setup(name, basis, params, {"generator": Z}, _diag_anchors(basis))
+
+
+def _three_level(name, model, params):
+    """Fixed three-level Lindblad model, anchored at its stationary state."""
     basis = build_basis(3)
-    Z = lindblad_vf(model_three_level_decay())
+    Z = lindblad_vf(model())
     xstar = np.zeros(8)
     xstar[7] = 1.0 / np.sqrt(3.0)
-    return RunSetup(
-        name="three-level-decay",
-        basis=basis,
-        generator=Z,
-        fields={"generator": Z},
-        outputs=("field-samples", "trajectory"),
-        x0=_x0_of(params, basis),
-        anchors=[np.zeros(8), xstar],
-    )
+    return _run_setup(name, basis, params, {"generator": Z}, [np.zeros(8), xstar])
 
 
-def _setup_gisin(params):
-    basis = build_basis(2)
-    obs = _b_observable(basis, params["B"])
-    Z = model_gisin(basis, obs)
-    B = np.asarray(params["B"], dtype=float)
-    u = B / np.linalg.norm(B)
-    return RunSetup(
-        name="gisin",
-        basis=basis,
-        generator=Z,
-        fields={"generator": Z},
-        outputs=("field-samples", "trajectory"),
-        x0=_x0_of(params, basis),
-        anchors=_axis_anchors(u),
-    )
-
-
-def _setup_double_bracket(params):
-    basis = build_basis(2)
-    obs = _b_observable(basis, params["B"])
-    Z = model_double_bracket(basis, obs)
-    B = np.asarray(params["B"], dtype=float)
-    u = B / np.linalg.norm(B)
-    return RunSetup(
-        name="double-bracket",
-        basis=basis,
-        generator=Z,
-        fields={"generator": Z},
-        outputs=("field-samples", "trajectory"),
-        x0=_x0_of(params, basis),
-        anchors=_axis_anchors(u),
-    )
-
-
-def _setup_kaufman_morrison(params):
-    basis = build_basis(2)
-    obs = _b_observable(basis, params["B"])
-    s_obs = _b_observable(basis, -np.asarray(params["B"], dtype=float))
-    Z = model_kaufman_morrison(basis, obs, s_obs)
-    B = np.asarray(params["B"], dtype=float)
-    u = B / np.linalg.norm(B)
-    return RunSetup(
-        name="kaufman-morrison",
-        basis=basis,
-        generator=Z,
-        fields={"generator": Z},
-        outputs=("field-samples", "trajectory"),
-        x0=_x0_of(params, basis),
-        anchors=_axis_anchors(u),
-    )
-
-
+# builtin name -> (setup builder, model it is given)
 REGISTRY = {
-    "bloch-field": _setup_bloch_field,
-    "phase-damping": _setup_phase_damping,
-    "qubit-dissipation": _setup_qubit_dissipation,
-    "massive-decoherence": _setup_massive_decoherence,
-    "pure-decoherence": _setup_pure_decoherence,
-    "three-level-decay": _setup_three_level_decay,
-    "gisin": _setup_gisin,
-    "double-bracket": _setup_double_bracket,
-    "kaufman-morrison": _setup_kaufman_morrison,
+    "bloch-field": (
+        _b_qubit,
+        lambda basis, obs: {
+            "hamiltonian": hamiltonian_vf(basis, obs),
+            "gradient-descent": -gradient_vf(basis, obs),
+        },
+    ),
+    "phase-damping": (_axis_qubit, model_phase_damping),
+    "qubit-dissipation": (_axis_qubit, model_qubit_dissipation),
+    "massive-decoherence": (_decoherence, model_massive_decoherence),
+    "pure-decoherence": (
+        _decoherence,
+        lambda d, g: model_pure_decoherence(d, (d - 1) * (float(g),)),
+    ),
+    "three-level-decay": (_three_level, model_three_level_decay),
+    "gisin": (_b_qubit, lambda basis, obs: {"generator": model_gisin(basis, obs)}),
+    "double-bracket": (
+        _b_qubit,
+        lambda basis, obs: {"generator": model_double_bracket(basis, obs)},
+    ),
+    "kaufman-morrison": (
+        _b_qubit,
+        lambda basis, obs: {
+            "generator": model_kaufman_morrison(
+                basis, obs, _b_observable(basis, -obs.traceless_coeffs)
+            )
+        },
+    ),
 }
+
+
+def _builtin_setup(name, params):
+    build, model = REGISTRY[name]
+    return build(name, model, params)
 
 
 # ------------------------------------------------------------------ sampling
@@ -431,21 +357,6 @@ def _analysis_json(ana):
     return out
 
 
-def _axioms_json(ax):
-    if ax is None:
-        return None
-    return {
-        "jacobi": float(ax.jacobi),
-        "jordan_identity": float(ax.jordan_identity),
-        "leibniz": float(ax.leibniz),
-        "associator": float(ax.associator),
-        "star_associativity": (
-            None if ax.star_associativity is None else float(ax.star_associativity)
-        ),
-        "trials": int(ax.trials),
-    }
-
-
 def _stationary_json(st):
     return {
         "kind": st.kind,
@@ -469,7 +380,8 @@ def _limit_set_json(lsa):
     }
     k = len(lsa.free_indices)
     level = int(round(np.sqrt(k + 1)))
-    if lsa.closed and level * level == k + 1:
+    # a single stationary point (k = 0) carries no n-level algebra
+    if lsa.closed and level >= 2 and level * level == k + 1:
         from .contraction import matches_level_algebra
 
         if matches_level_algebra(lsa, level):
@@ -488,7 +400,7 @@ def report_json(report, model_name):
             "symmetric": _analysis_json(report.symmetric),
         },
         "stationary": _stationary_json(report.stationary),
-        "axioms": _axioms_json(report.axioms),
+        "axioms": None if report.axioms is None else asdict(report.axioms),
         "isomorphism": report.isomorphism,
         "limit_set": _limit_set_json(report.limit_set),
     }
@@ -503,25 +415,25 @@ def report_json(report, model_name):
     return out
 
 
+def _constants_grid(const):
+    """Products ``x_j, x_k -> const[j,k,0] + sum_l const[j,k,l] x_l`` of the
+    coordinate functions, read off a structure-constant array."""
+    m = const.shape[0] - 1
+    # "+ 0.0" turns negative zeros into plain zeros for clean JSON output
+    return [
+        [Poly(m, c0=const[j, k, 0] + 0.0, c1=const[j, k, 1:] + 0.0).to_dict()
+         for k in range(1, m + 1)]
+        for j in range(1, m + 1)
+    ]
+
+
 def static_tables_json(basis):
-    m = basis.m
-    lam = poisson_field(basis)
-    rfield = symmetric_field(basis)
-    poisson = [[None] * m for _ in range(m)]
-    jordan = [[None] * m for _ in range(m)]
-    for j in range(m):
-        ej = np.zeros(m)
-        ej[j] = 1.0
-        for k in range(m):
-            ek = np.zeros(m)
-            ek[k] = 1.0
-            poisson[j][k] = poisson_bracket(basis, ej, ek, field=lam)
-            jordan[j][k] = jordan_bracket(basis, ej, ek, field=rfield)
+    """The Poisson brackets and Jordan products of the coordinate functions."""
     return {
         "n": basis.n,
-        "names": [f"x_{j + 1}" for j in range(m)],
-        "poisson": _grid_json(poisson),
-        "jordan": _grid_json(jordan),
+        "names": [f"x_{j + 1}" for j in range(basis.m)],
+        "poisson": _constants_grid(basis.lie_constants),
+        "jordan": _constants_grid(basis.jordan_constants),
     }
 
 
@@ -601,7 +513,7 @@ def setup_from_scenario(data, params, default_name):
                 f"unknown builtin model {model!r}; registered: "
                 + ", ".join(REGISTRY)
             )
-        setup = REGISTRY[model](merged)
+        setup = _builtin_setup(model, merged)
     else:
         H = model.get("H")
         Vs = model.get("V", [])
@@ -619,14 +531,8 @@ def setup_from_scenario(data, params, default_name):
             )
         basis = build_basis(n)
         Z = lindblad_vf(LindbladModel(basis, H=Hm, V=Vms))
-        setup = RunSetup(
-            name="scenario",
-            basis=basis,
-            generator=Z,
-            fields={"generator": Z},
-            outputs=("field-samples", "trajectory"),
-            x0=_x0_of(merged, basis),
-            anchors=[np.zeros(basis.m)],
+        setup = _run_setup(
+            "scenario", basis, merged, {"generator": Z}, [np.zeros(basis.m)]
         )
     name = data.get("name") or default_name
     setup.name = str(name)
@@ -645,19 +551,16 @@ def setup_from_scenario(data, params, default_name):
 # ------------------------------------------------------------------ running
 
 
-def _print_report_summary(report, lines):
+def _print_report_summary(report, info, lines):
+    """Log lines for a contraction report and its ``report_json`` dict."""
     lines.append(f"contraction verdict: {report.verdict}")
     if report.verdict == "limit" and report.tables is not None:
         lines.append("contracted products:")
-        table_lines = format_product_table(report.tables)
-        if isinstance(table_lines, (list, tuple)):
-            lines.extend("  " + t for t in table_lines)
-        else:
-            lines.append(table_lines)
+        lines.extend("  " + t for t in format_product_table(report.tables))
         if report.axioms is not None:
             lines.append(
                 f"axiom residuals: max {report.axioms.max_residual():.3e} "
-                f"over {report.axioms.trials} trials"
+                "(exact, on the basis)"
             )
         if report.isomorphism:
             lines.append(report.isomorphism["description"])
@@ -684,12 +587,9 @@ def _print_report_summary(report, lines):
                 "limit set: free coordinates " + ", ".join(names)
                 + ("; pinned " + ", ".join(pinned) if pinned else "")
             )
-            info = _limit_set_json(lsa)
-            if "isomorphic_to_level" in info:
-                lines.append(
-                    "limit-set algebra matches a "
-                    f"{info['isomorphic_to_level']}-level system"
-                )
+            level = info["limit_set"].get("isomorphic_to_level")
+            if level is not None:
+                lines.append(f"limit-set algebra matches a {level}-level system")
 
 
 def run_scenario(target, out_dir="geomstates-out", params=None, report=False):
@@ -718,10 +618,8 @@ def run_scenario(target, out_dir="geomstates-out", params=None, report=False):
             raise FileNotFoundError(f"scenario file not found: {target}")
         data = json.loads(path.read_text(encoding="utf-8"))
         setup, merged = setup_from_scenario(data, merged, path.stem)
-    elif target in REGISTRY:
-        setup = REGISTRY[target](merged)
     else:
-        raise KeyError(target)
+        setup = _builtin_setup(target, merged)  # KeyError for unknown names
 
     outputs = list(setup.outputs)
     if report:
@@ -788,9 +686,10 @@ def run_scenario(target, out_dir="geomstates-out", params=None, report=False):
 
     if "contraction" in outputs:
         rep = analyze_contraction(setup.generator, setup.basis)
-        _print_report_summary(rep, lines)
+        info = report_json(rep, setup.name)
+        _print_report_summary(rep, info, lines)
         p = out / f"{base}_report.json"
-        _write_json(p, report_json(rep, setup.name))
+        _write_json(p, info)
         lines.append(f"wrote {p}")
         artifacts["contraction"] = p
 

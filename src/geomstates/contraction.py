@@ -30,13 +30,14 @@ stationary limit set by restricting the static products to it.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
+import os
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 import scipy.linalg
 from scipy.linalg import get_lapack_funcs
 
+from .algebra import axiom_residuals, build_basis
 from .errors import (
     ContractionMismatchError,
     DegreeOverflowError,
@@ -233,12 +234,32 @@ class LieDerivativeSuperoperator:
         return not np.any(self.matrix - np.diag(np.diag(self.matrix)))
 
 
+def _check_memory(nbytes, what):
+    """Raise before allocating ``nbytes`` that exceed physical memory or a
+    finite address-space limit of this process; POSIX only."""
+    if os.name != "posix":
+        return
+    import resource
+
+    avail = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    soft, _ = resource.getrlimit(resource.RLIMIT_AS)
+    if soft != resource.RLIM_INFINITY:
+        avail = min(avail, soft)
+    if nbytes > avail:
+        raise InvariantViolationError(
+            f"{what} needs {nbytes / 2**30:.2f} GiB of working memory; "
+            f"only {avail / 2**30:.2f} GiB are available"
+        )
+
+
 def build_superoperator(Z, symmetry):
     """Lie-derivative matrix of an affine field on one symmetry sector.
 
     Built column-by-column (batched) from the action on coefficient basis
     tensors; requires ``Z`` affine, since only then does the Lie derivative
     preserve the degree-<=2 coefficient space with no cancellation caveats.
+    Raises :class:`InvariantViolationError` before allocating when the dense
+    matrix and the batched basis tensors would not fit in memory.
     """
     if not Z.is_affine:
         raise InvariantViolationError(
@@ -253,6 +274,10 @@ def build_superoperator(Z, symmetry):
     sgn = -1.0 if symmetry == "antisymmetric" else 1.0
     iu = np.triu_indices(m)
     n_tri = iu[0].size
+    _check_memory(
+        8 * (B * B + 2 * B * (m**2 + m**3 + m**4)),  # M, T0..T2, U0..U2
+        f"the {symmetry} tensor-flow superoperator at m={m}",
+    )
 
     T0 = np.zeros((B, m, m))
     T1 = np.zeros((B, m, m, m))
@@ -661,7 +686,9 @@ def asymptotic_limit(fam, zero_tol=1e-8, proj_tol=1e-9):
     zero_excited = amplitudes["zero"] > cut
     zero_defective = zero_excited and defect > 1e-6 * amplitudes["zero"]
 
+    limit = limit_flat = None
     if amplitudes["growing"] > cut or zero_defective:
+        verdict = "divergent"
         modes = [md for md in grow_modes if md.amplitude > cut]
         if zero_defective:
             direction = v_zero / amplitudes["zero"]
@@ -675,35 +702,18 @@ def asymptotic_limit(fam, zero_tol=1e-8, proj_tol=1e-9):
                     polynomial_growth=True,
                 )
             )
-        return LimitAnalysis(
-            verdict="divergent",
-            limit=None,
-            limit_flat=None,
-            modes=modes,
-            eigenvalues=eigenvalues,
-            amplitudes=amplitudes,
-            defect=defect,
-            etol=etol,
-            symmetry=symmetry,
-        )
-    if amplitudes["oscillatory"] > cut:
-        return LimitAnalysis(
-            verdict="oscillatory",
-            limit=None,
-            limit_flat=None,
-            modes=[md for md in osc_modes if md.amplitude > cut],
-            eigenvalues=eigenvalues,
-            amplitudes=amplitudes,
-            defect=defect,
-            etol=etol,
-            symmetry=symmetry,
-        )
-    limit_flat = v_zero
+    elif amplitudes["oscillatory"] > cut:
+        verdict = "oscillatory"
+        modes = [md for md in osc_modes if md.amplitude > cut]
+    else:
+        verdict, modes = "limit", []
+        limit_flat = v_zero
+        limit = unflatten_field(limit_flat, m, symmetry)
     return LimitAnalysis(
-        verdict="limit",
-        limit=unflatten_field(limit_flat, m, symmetry),
+        verdict=verdict,
+        limit=limit,
         limit_flat=limit_flat,
-        modes=[],
+        modes=modes,
         eigenvalues=eigenvalues,
         amplitudes=amplitudes,
         defect=defect,
@@ -755,77 +765,38 @@ def extract_contracted_products(lam_limit, r_limit, quad_tol=1e-9):
         for rw in grid
         for p in rw
     )
-    c_full = d_full = None
-    if linear:
-        c_full = np.zeros((m + 1, m + 1, m + 1))
-        d_full = np.zeros((m + 1, m + 1, m + 1))
-        for mu in range(m + 1):
-            d_full[0, mu, mu] = 1.0
-            d_full[mu, 0, mu] = 1.0
-        d_full[0, 0, 0] = 1.0
-        for j in range(m):
-            for k in range(m):
-                c_full[j + 1, k + 1, 0] = poisson[j][k].c0
-                c_full[j + 1, k + 1, 1:] = poisson[j][k].c1
-                d_full[j + 1, k + 1, 0] = jordan[j][k].c0
-                d_full[j + 1, k + 1, 1:] = jordan[j][k].c1
+    c_full, d_full = _unit_extended(poisson, jordan) if linear else (None, None)
     return ContractedTables(
         m=m, poisson=poisson, jordan=jordan, linear=linear, c_full=c_full, d_full=d_full
     )
 
 
-def verify_contracted_axioms(tables, trials=50, seed=0):
-    """Check the Lie-Jordan axioms plus star associativity on contracted
-    structure constants.  Requires linear tables."""
-    from .algebra import AxiomReport
+def _unit_extended(poisson, jordan):
+    """Structure constants ``(c, d)`` of affine product tables over the basis
+    ``(1, x_1, ..., x_k)``, with ``1`` the unit of the Jordan product."""
+    k = len(poisson)
+    c = np.zeros((k + 1, k + 1, k + 1))
+    d = np.zeros((k + 1, k + 1, k + 1))
+    unit = np.arange(k + 1)
+    d[0, unit, unit] = 1.0
+    d[unit, 0, unit] = 1.0
+    for a in range(k):
+        for b in range(k):
+            c[a + 1, b + 1, 0] = poisson[a][b].c0
+            c[a + 1, b + 1, 1:] = poisson[a][b].c1
+            d[a + 1, b + 1, 0] = jordan[a][b].c0
+            d[a + 1, b + 1, 1:] = jordan[a][b].c1
+    return c, d
 
+
+def verify_contracted_axioms(tables):
+    """Exact Lie-Jordan and star-associativity residuals of contracted
+    structure constants.  Requires linear tables."""
     if not tables.linear:
         raise InvariantViolationError(
             "axiom verification needs linear product tables"
         )
-    c, d = tables.c_full, tables.d_full
-    dim = tables.m + 1
-    rng = np.random.default_rng(seed)
-
-    def lie(u, v):
-        return np.einsum("i,j,ijk->k", u, v, c)
-
-    def jor(u, v):
-        return np.einsum("i,j,ijk->k", u, v, d)
-
-    star = d + 1j * c
-
-    def sprod(u, v):
-        return np.einsum("i,j,ijk->k", u, v, star)
-
-    res = dict(
-        jacobi=0.0, jordan_identity=0.0, leibniz=0.0, associator=0.0,
-        star_associativity=0.0,
-    )
-    for _ in range(trials):
-        a, b, cc = (rng.normal(size=dim) for _ in range(3))
-        r = lie(a, lie(b, cc)) + lie(b, lie(cc, a)) + lie(cc, lie(a, b))
-        res["jacobi"] = max(res["jacobi"], float(np.abs(r).max()))
-        a2 = jor(a, a)
-        r = jor(jor(a, b), a2) - jor(a, jor(b, a2))
-        res["jordan_identity"] = max(res["jordan_identity"], float(np.abs(r).max()))
-        r = lie(a, jor(b, cc)) - jor(lie(a, b), cc) - jor(b, lie(a, cc))
-        res["leibniz"] = max(res["leibniz"], float(np.abs(r).max()))
-        r = (
-            jor(a, jor(b, cc))
-            - jor(jor(a, b), cc)
-            - lie(a, lie(b, cc))
-            + lie(lie(a, b), cc)
-        )
-        res["associator"] = max(res["associator"], float(np.abs(r).max()))
-        za = a + 1j * rng.normal(size=dim)
-        zb = b + 1j * rng.normal(size=dim)
-        zc = cc + 1j * rng.normal(size=dim)
-        r = sprod(sprod(za, zb), zc) - sprod(za, sprod(zb, zc))
-        res["star_associativity"] = max(
-            res["star_associativity"], float(np.abs(r).max())
-        )
-    return AxiomReport(trials=trials, **res)
+    return axiom_residuals(tables.c_full, tables.d_full)
 
 
 def lie_algebra_dimensions(c_full):
@@ -906,20 +877,7 @@ def limit_set_algebra(Z, basis, verdict=None, closure_tol=1e-9):
             jordan[a][bidx] = jq
             if pj.max_abs_quadratic() > closure_tol or jq.max_abs_quadratic() > closure_tol:
                 closed = False
-    c_red = d_red = None
-    if closed:
-        c_red = np.zeros((k + 1, k + 1, k + 1))
-        d_red = np.zeros((k + 1, k + 1, k + 1))
-        for mu in range(k + 1):
-            d_red[0, mu, mu] = 1.0
-            d_red[mu, 0, mu] = 1.0
-        d_red[0, 0, 0] = 1.0
-        for a in range(k):
-            for bidx in range(k):
-                c_red[a + 1, bidx + 1, 0] = poisson[a][bidx].c0
-                c_red[a + 1, bidx + 1, 1:] = poisson[a][bidx].c1
-                d_red[a + 1, bidx + 1, 0] = jordan[a][bidx].c0
-                d_red[a + 1, bidx + 1, 1:] = jordan[a][bidx].c1
+    c_red, d_red = _unit_extended(poisson, jordan) if closed else (None, None)
     return LimitSetAlgebra(
         point=x0,
         free_indices=free,
@@ -934,8 +892,6 @@ def limit_set_algebra(Z, basis, verdict=None, closure_tol=1e-9):
 
 def matches_level_algebra(lsa, n, tol=1e-9):
     """Whether reduced structure constants equal those of an n-level system."""
-    from .algebra import build_basis
-
     ref = build_basis(n)
     if lsa.c_red is None or lsa.c_red.shape != ref.lie_constants.shape:
         return False
@@ -970,7 +926,7 @@ class ContractionReport:
         return out
 
 
-def analyze_contraction(Z, basis, zero_tol=1e-8, proj_tol=1e-9, parallel=True):
+def analyze_contraction(Z, basis, zero_tol=1e-8, proj_tol=1e-9):
     """Propagate both canonical tensor fields along a flow and classify.
 
     Returns a :class:`ContractionReport` carrying per-sector verdicts, the
@@ -981,14 +937,8 @@ def analyze_contraction(Z, basis, zero_tol=1e-8, proj_tol=1e-9, parallel=True):
     """
     famL = flow_family(Z, poisson_field(basis))
     famR = flow_family(Z, symmetric_field(basis))
-    if parallel and not famL.superop.is_diagonal():
-        with ThreadPoolExecutor(max_workers=2) as ex:
-            futL = ex.submit(asymptotic_limit, famL, zero_tol, proj_tol)
-            futR = ex.submit(asymptotic_limit, famR, zero_tol, proj_tol)
-            anaL, anaR = futL.result(), futR.result()
-    else:
-        anaL = asymptotic_limit(famL, zero_tol, proj_tol)
-        anaR = asymptotic_limit(famR, zero_tol, proj_tol)
+    anaL = asymptotic_limit(famL, zero_tol, proj_tol)
+    anaR = asymptotic_limit(famR, zero_tol, proj_tol)
     st = stationary_points(Z, basis)
     if anaL.verdict == "divergent" or anaR.verdict == "divergent":
         verdict = "divergent"
@@ -1034,7 +984,6 @@ def contract_3level_decoherence(zero_tol=1e-8, proj_tol=1e-9, match_tol=1e-8):
     entry-wise within ``match_tol`` and returns the pair of reports.
     Raises :class:`ContractionMismatchError` otherwise.
     """
-    from .algebra import build_basis
     from .dynamics import model_massive_decoherence, model_pure_decoherence
 
     basis = build_basis(3)

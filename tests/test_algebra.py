@@ -15,6 +15,7 @@ from geomstates import (
     lie_product_coeffs,
     verify_lie_jordan_axioms,
 )
+from geomstates.algebra import axiom_residuals
 from conftest import random_hermitian
 
 SQ3 = np.sqrt(3.0)
@@ -110,9 +111,29 @@ class TestStructureConstants:
 class TestAxioms:
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_axioms_hold(self, n):
-        rep = verify_lie_jordan_axioms(build_basis(n), trials=40, seed=3)
+        rep = verify_lie_jordan_axioms(build_basis(n))
         assert rep.passed(1e-9), f"axiom residuals too large: {rep}"
         assert rep.max_residual() < 1e-11
+
+    @pytest.mark.parametrize(
+        "array, broken, intact",
+        [
+            ("c", ("jacobi", "leibniz", "associator", "star_associativity"),
+             ("jordan_identity",)),
+            ("d", ("jordan_identity", "leibniz", "associator", "star_associativity"),
+             ("jacobi",)),
+        ],
+    )
+    def test_corrupted_constant_is_caught(self, basis3, array, broken, intact):
+        c = basis3.lie_constants.copy()
+        d = basis3.jordan_constants.copy()
+        (c if array == "c" else d)[1, 2, 3] += 1e-6
+        rep = axiom_residuals(c, d)
+        for name in broken:
+            assert getattr(rep, name) > 1e-7, (name, rep)
+        for name in intact:
+            assert getattr(rep, name) < 1e-11, (name, rep)
+        assert not rep.passed(1e-9)
 
 
 class TestProducts:

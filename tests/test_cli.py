@@ -1,14 +1,18 @@
 """Command-line interface: artifacts, determinism, and exit codes."""
 
 import csv
+import dataclasses
 import json
+import os
 import subprocess
 import sys
 
 import numpy as np
 import pytest
 
-from geomstates.cli import DEFAULT_SEED, REGISTRY, main, run_scenario
+from geomstates import analyze_contraction, lindblad_vf, model_phase_damping
+from geomstates.cli import DEFAULT_SEED, REGISTRY, main, report_json, run_scenario
+from geomstates.contraction import LimitSetAlgebra
 
 BUILTINS = [
     "bloch-field",
@@ -36,6 +40,24 @@ class TestRegistry:
         assert main(["list"]) == 0
         out = capsys.readouterr().out.splitlines()
         assert out == BUILTINS
+
+    @pytest.mark.parametrize("name", list(REGISTRY))
+    def test_builtin_writes_expected_artifacts(self, name, tmp_path):
+        assert main(["run", name, "--out", str(tmp_path), "--points", "20"]) == 0
+        base = name.replace("-", "_")
+        labels = ["hamiltonian", "gradient_descent"] if name == "bloch-field" else ["generator"]
+        fields = [f"{base}_field_{label}.csv" for label in labels]
+        names = sorted(p.name for p in tmp_path.iterdir())
+        assert names == sorted(fields + [f"{base}_trajectory.csv"])
+        m = 8 if name in ("massive-decoherence", "pure-decoherence", "three-level-decay") else 3
+        xs = [f"x_{j + 1}" for j in range(m)]
+        for f in fields:
+            rows = _read_rows(tmp_path / f)
+            assert rows[0] == xs + [f"v_{j + 1}" for j in range(m)]
+            assert len(rows) == 21
+            # the origin anchor comes first
+            assert [float(v) for v in rows[1][:m]] == [0.0] * m
+        assert _read_rows(tmp_path / f"{base}_trajectory.csv")[0] == ["t"] + xs + ["purity"]
 
 
 class TestArtifacts:
@@ -126,6 +148,22 @@ class TestArtifacts:
         ls = rep["limit_set"]
         assert ls["free_coordinates"] == ["x_1", "x_2", "x_3"]
         assert ls["isomorphic_to_level"] == 2
+
+    def test_single_point_limit_set_has_no_level(self, basis2):
+        rep = analyze_contraction(lindblad_vf(model_phase_damping(1.0)), basis2)
+        point = LimitSetAlgebra(
+            point=np.zeros(3),
+            free_indices=[],
+            directions=np.zeros((3, 0)),
+            poisson=[],
+            jordan=[],
+            closed=True,
+            c_red=np.zeros((1, 1, 1)),
+            d_red=np.ones((1, 1, 1)),
+        )
+        out = report_json(dataclasses.replace(rep, limit_set=point), "single-point")
+        assert out["limit_set"]["free_coordinates"] == []
+        assert "isomorphic_to_level" not in out["limit_set"]
 
 
 class TestDeterminism:
@@ -232,6 +270,27 @@ class TestExitCodes:
         code = main(["run", "gisin", "--out", str(tmp_path), "--report", "--points", "20"])
         assert code == 1
         assert "affine" in capsys.readouterr().err
+
+    def test_oversize_superoperator_fails_cleanly(self, tmp_path):
+        resource = pytest.importorskip("resource")
+        scen = tmp_path / "ququart.json"
+        scen.write_text(json.dumps({
+            "model": "massive-decoherence",
+            "parameters": {"d": 4},
+            "outputs": ["contraction"],
+        }))
+        hard = resource.getrlimit(resource.RLIMIT_AS)[1]
+        soft = 3 * 2**30 if hard == resource.RLIM_INFINITY else min(3 * 2**30, hard)
+        env = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
+        proc = subprocess.run(
+            [sys.executable, "-m", "geomstates.cli", "run", str(scen), "--out", str(tmp_path)],
+            capture_output=True, text=True, timeout=60,
+            env={**os.environ, **env},
+            preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (soft, hard)),
+        )
+        assert proc.returncode == 1, proc.stderr
+        assert "error:" in proc.stderr and "GiB" in proc.stderr
+        assert "Traceback" not in proc.stderr
 
     def test_invalid_output_kind_rejected(self, tmp_path, capsys):
         scen = {"name": "bad-out", "n": 2, "model": "phase-damping", "outputs": ["nope"]}

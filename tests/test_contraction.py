@@ -390,7 +390,7 @@ class TestAsymptotics:
             tab = extract_contracted_products(rp.limit, rj.limit)
             if tab.linear:
                 worst = max(
-                    worst, verify_contracted_axioms(tab, trials=30, seed=i).max_residual()
+                    worst, verify_contracted_axioms(tab).max_residual()
                 )
         assert n_limits >= 15  # generic dissipative models do settle
         assert worst < 1e-9
@@ -431,15 +431,6 @@ class TestFullAnalysis:
         assert rep.tables is None
         assert rep.limit_set is not None and rep.limit_set.closed
         assert len(rep.divergent_modes()) > 0
-
-    def test_parallel_and_serial_agree(self, basis2):
-        Z = lindblad_vf(model_qubit_dissipation(1.0))
-        r1 = analyze_contraction(Z, basis2, parallel=True)
-        r2 = analyze_contraction(Z, basis2, parallel=False)
-        assert r1.verdict == r2.verdict
-        assert np.abs(
-            r1.poisson.limit_flat - r2.poisson.limit_flat
-        ).max() == 0.0
 
     def test_decoherence_cross_check(self):
         rm, rp = contract_3level_decoherence()
