@@ -17,7 +17,8 @@ artifacts into an output directory:
 ``<name>_report.json``
     The contraction analysis of the tensor flow: verdict, sector
     eigenvalues as ``[re, im]`` pairs, contracted or limit-set product
-    tables as ``{c0, c1, c2}`` polynomials, and axiom residuals.
+    tables as ``{c0, c1, c2}`` polynomials, and axiom residuals.  Flags
+    such as ``closed`` and ``linear`` are JSON booleans.
 ``<name>_tables.json``
     The static Poisson/Jordan product tables of the model's algebra.
 ``<name>_tensor_family.json``
@@ -55,6 +56,9 @@ import os
 import re
 import sys
 from dataclasses import asdict, dataclass, field as dc_field
+from json.encoder import encode_basestring_ascii
+from math import isfinite
+from operator import itemgetter
 from pathlib import Path
 
 import numpy as np
@@ -63,7 +67,7 @@ from scipy.stats import qmc
 from .algebra import build_basis
 from .errors import GeomstatesError, InvariantViolationError
 from .poly import Poly, PolyVectorField
-from .states import max_bloch_radius, StateCoordinates
+from .states import _min_eigenvalues, max_bloch_radius
 from .tensors import (
     field_csv_rows,
     gradient_vf,
@@ -259,17 +263,14 @@ def _builtin_setup(name, params):
 # ------------------------------------------------------------------ sampling
 
 
-def _psd_ok(basis, x, tol=1e-12):
-    evals = np.linalg.eigvalsh(StateCoordinates(basis, x).matrix())
-    return bool(evals.min() >= -tol)
-
-
 def sample_states(basis, count, seed, anchors=(), slice_coords=None):
     """Deterministic quasi-uniform grid of valid states.
 
     Anchor points come first; the rest is a scrambled Halton sequence
     filtered by positivity — over the full coordinate ball for two-level
-    systems, over a two-coordinate slice otherwise.
+    systems, over a two-coordinate slice otherwise.  Positivity is tested
+    in batches, one call per Halton draw, keeping accepted points in draw
+    order.
     """
     m, n = basis.m, basis.n
     # "+ 0.0" turns negative zeros into plain zeros for clean CSV output
@@ -287,41 +288,64 @@ def sample_states(basis, count, seed, anchors=(), slice_coords=None):
     R = max_bloch_radius(n)
     sampler = qmc.Halton(d=len(cols), scramble=True, seed=int(seed))
     need = count - len(pts)
+    blocks = [np.reshape(pts, (-1, m))]
     for _ in range(1000):
         if need <= 0:
             break
-        for u in sampler.random(max(128, 2 * need)):
-            x = np.zeros(m)
-            x[cols] = (2.0 * u - 1.0) * R
-            if _psd_ok(basis, x):
-                pts.append(x)
-                need -= 1
-                if need <= 0:
-                    break
+        u = sampler.random(max(128, 2 * need))
+        X = np.zeros((len(u), m))
+        X[:, cols] = (2.0 * u - 1.0) * R
+        blocks.append(X[_min_eigenvalues(basis, X) >= -1e-12][:need])
+        need -= len(blocks[-1])
     if need > 0:
         raise InvariantViolationError("state sampling failed to fill the grid")
-    return np.array(pts)
+    return np.concatenate(blocks)
 
 
 # -------------------------------------------------------------- serializers
 
 
-def _jsonify(obj):
-    if isinstance(obj, dict):
-        return {str(k): _jsonify(v) for k, v in obj.items()}
+def _json_text(obj, pad="\n"):
+    """``obj`` as ``json.dumps(obj, indent=2, sort_keys=True,
+    allow_nan=False)`` writes it, in one pass that also takes numpy arrays
+    and scalars, and complex values as ``[re, im]``.  ``pad`` is the line
+    break and indentation of the enclosing level."""
+    inner = pad + "  "
     if isinstance(obj, (list, tuple)):
-        return [_jsonify(v) for v in obj]
+        if not obj:
+            return "[]"
+        if set(map(type, obj)) == {float} and all(map(isfinite, obj)):
+            texts = map(float.__repr__, obj)
+        else:
+            texts = [_json_text(v, inner) for v in obj]
+        return "[" + inner + ("," + inner).join(texts) + pad + "]"
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        items = sorted({str(k): v for k, v in obj.items()}.items(), key=itemgetter(0))
+        texts = [encode_basestring_ascii(k) + ": " + _json_text(v, inner)
+                 for k, v in items]
+        return "{" + inner + ("," + inner).join(texts) + pad + "}"
+    if isinstance(obj, str):
+        return encode_basestring_ascii(obj)
+    if obj is None:
+        return "null"
+    # bool before int: True is an int too
+    if isinstance(obj, (bool, np.bool_)):
+        return "true" if obj else "false"
+    if isinstance(obj, (float, np.floating)):
+        if not isfinite(obj):
+            raise ValueError(
+                f"out of range float values are not JSON compliant: {obj!r}"
+            )
+        return float.__repr__(float(obj))
+    if isinstance(obj, (int, np.integer)):
+        return int.__repr__(int(obj))
+    if isinstance(obj, (complex, np.complexfloating)):
+        return _json_text([obj.real, obj.imag], pad)
     if isinstance(obj, np.ndarray):
-        return _jsonify(obj.tolist())
-    if isinstance(obj, (np.floating, float)):
-        return float(obj)
-    if isinstance(obj, (np.integer, int)):
-        return int(obj)
-    if isinstance(obj, (np.bool_, bool)):
-        return bool(obj)
-    if isinstance(obj, complex):
-        return [float(obj.real), float(obj.imag)]
-    return obj
+        return _json_text(obj.tolist(), pad)
+    raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
 
 
 def _grid_json(grid):
@@ -449,10 +473,7 @@ def _write_csv(path, rows):
 
 
 def _write_json(path, obj):
-    _write_text(
-        path,
-        json.dumps(_jsonify(obj), indent=2, sort_keys=True, allow_nan=False) + "\n",
-    )
+    _write_text(path, _json_text(obj) + "\n")
 
 
 def _slug(name):
@@ -578,13 +599,16 @@ def _print_report_summary(report, info, lines):
         if report.limit_set is not None:
             lsa = report.limit_set
             names = [f"x_{j + 1}" for j in lsa.free_indices]
+            # round-off below this cut is printed as an exact zero
+            cut = 1e-12 * max(1.0, float(np.abs(lsa.point).max(initial=0.0)))
             pinned = [
-                f"x_{j + 1}={lsa.point[j]:.6g}"
+                f"x_{j + 1}={lsa.point[j] if abs(lsa.point[j]) >= cut else 0:.6g}"
                 for j in range(len(lsa.point))
                 if j not in lsa.free_indices
             ]
             lines.append(
-                "limit set: free coordinates " + ", ".join(names)
+                ("limit set: free coordinates " + ", ".join(names) if names
+                 else "limit set: a single point")
                 + ("; pinned " + ", ".join(pinned) if pinned else "")
             )
             level = info["limit_set"].get("isomorphic_to_level")

@@ -39,7 +39,12 @@ from .errors import (
     NotAStateError,
 )
 from .poly import Poly, PolyVectorField
-from .states import StateCoordinates, max_bloch_radius, state_from_matrix
+from .states import (
+    StateCoordinates,
+    _min_eigenvalues,
+    max_bloch_radius,
+    state_from_matrix,
+)
 from .tensors import gradient_vf, hamiltonian_vf
 
 __all__ = [
@@ -450,14 +455,16 @@ class Trajectory:
         return 1.0 / self.basis.n + 0.5 * np.einsum("ij,ij->i", self.xs, self.xs)
 
 
-def _check_on_body(basis, x, slack, t):
-    rho = StateCoordinates(basis, x).matrix()
-    evals = np.linalg.eigvalsh(rho)
-    if evals.min() < -slack:
+def _check_on_body(basis, xs, slack, times):
+    """Raise at the first row of ``xs`` that is not a state up to ``slack``."""
+    low = _min_eigenvalues(basis, xs)
+    bad = np.flatnonzero(low < -slack)
+    if bad.size:
+        i = bad[0]
         raise IntegrationDivergedError(
-            f"trajectory left the state body at t={t:.6g} "
-            f"(eigenvalue {evals.min():.3e})",
-            time=t,
+            f"trajectory left the state body at t={times[i]:.6g} "
+            f"(eigenvalue {low[i]:.3e})",
+            time=times[i],
         )
 
 
@@ -468,7 +475,8 @@ def integrate(Z, state0, t_end, dt=None, method="auto", positivity_slack=1e-6):
     fields use an adaptive Runge-Kutta scheme at tight tolerance.  Sampled
     points are verified to stay density states up to ``positivity_slack``;
     violation raises :class:`IntegrationDivergedError` with the first bad
-    time.
+    time.  The start is tested before integrating, and all other samples
+    in one batch once they are computed.
     """
     basis = state0.basis
     if Z.m != basis.m:
@@ -481,7 +489,7 @@ def integrate(Z, state0, t_end, dt=None, method="auto", positivity_slack=1e-6):
     steps = max(1, int(round(t_end / dt))) if t_end > 0 else 0
     times = np.linspace(0.0, t_end, steps + 1)
 
-    _check_on_body(basis, state0.x, positivity_slack, 0.0)
+    _check_on_body(basis, state0.x[None], positivity_slack, times)
     if Z.is_affine and method in ("auto", "exact"):
         A, b = Z.linear_parts()
         E, f = affine_flow_map(A, b, times[1] - times[0] if steps else 0.0)
@@ -489,7 +497,7 @@ def integrate(Z, state0, t_end, dt=None, method="auto", positivity_slack=1e-6):
         xs[0] = state0.x
         for i in range(1, steps + 1):
             xs[i] = E @ xs[i - 1] + f
-            _check_on_body(basis, xs[i], positivity_slack, times[i])
+        _check_on_body(basis, xs[1:], positivity_slack, times[1:])
         return Trajectory(basis, times, xs, method="exact-affine")
     if method == "exact":
         raise InvariantViolationError("exact flow maps require an affine field")
@@ -505,10 +513,9 @@ def integrate(Z, state0, t_end, dt=None, method="auto", positivity_slack=1e-6):
     )
     if not sol.success:
         raise IntegrationDivergedError(f"integration failed: {sol.message}")
-    xs = sol.y.T
-    for t, x in zip(times, xs):
-        _check_on_body(basis, x, positivity_slack, t)
-    return Trajectory(basis, times, np.ascontiguousarray(xs), method="rk45")
+    xs = np.ascontiguousarray(sol.y.T)
+    _check_on_body(basis, xs, positivity_slack, times)
+    return Trajectory(basis, times, xs, method="rk45")
 
 
 # ------------------------------------------------------------- fixed points
@@ -533,8 +540,7 @@ class StationaryResult:
 
 
 def _is_on_body(basis, x, tol=1e-8):
-    evals = np.linalg.eigvalsh(StateCoordinates(basis, x).matrix())
-    return bool(evals.min() >= -tol)
+    return bool(_min_eigenvalues(basis, x[None])[0] >= -tol)
 
 
 def stationary_points(Z, basis, n_starts=64, seed=7):

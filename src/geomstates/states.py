@@ -110,13 +110,30 @@ def state_from_matrix(rho, basis=None, trace_tol=1e-10, psd_tol=1e-8):
     return StateCoordinates(basis, x)
 
 
+def _density_matrices(basis, X):
+    """Stack of the density matrices ``I/n + (1/2) sum_j x_j sigma_j`` of
+    the rows ``x`` of an ``(N, m)`` array, summed term by term in ``j``
+    order."""
+    X = np.asarray(X, dtype=float)
+    rho = np.broadcast_to(np.eye(basis.n, dtype=complex) / basis.n,
+                          (X.shape[0], basis.n, basis.n))
+    for j in range(1, basis.dim):
+        rho = rho + 0.5 * X[:, j - 1, None, None] * basis.elements[j]
+    return rho
+
+
+def _min_eigenvalues(basis, X):
+    """Smallest eigenvalue of the density matrix of each row of ``X``.
+
+    Positivity is tested in batches: one ``eigvalsh`` call covers the whole
+    stack, with the same matrices and eigenvalues as one call per row.
+    """
+    return np.linalg.eigvalsh(_density_matrices(basis, X)).min(axis=1)
+
+
 def state_to_matrix(state):
     """Density matrix ``I/n + (1/2) sum_j x_j sigma_j``."""
-    basis = state.basis
-    rho = np.eye(basis.n, dtype=complex) / basis.n
-    for j in range(1, basis.dim):
-        rho = rho + 0.5 * state.x[j - 1] * basis.elements[j]
-    return rho
+    return _density_matrices(state.basis, state.x[None])[0]
 
 
 def expectation(a, state):

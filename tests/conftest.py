@@ -41,3 +41,11 @@ def random_state_coords(rng, basis, scale=0.6):
     from geomstates import state_from_matrix
 
     return state_from_matrix(rho, basis)
+
+
+def per_point_density_matrix(basis, x):
+    """Reference: ``I/n + (1/2) sum_j x_j sigma_j`` built one term at a time."""
+    rho = np.eye(basis.n, dtype=complex) / basis.n
+    for j in range(1, basis.dim):
+        rho = rho + 0.5 * x[j - 1] * basis.elements[j]
+    return rho

@@ -9,10 +9,28 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from scipy.stats import qmc
 
-from geomstates import analyze_contraction, lindblad_vf, model_phase_damping
-from geomstates.cli import DEFAULT_SEED, REGISTRY, main, report_json, run_scenario
+from geomstates import (
+    analyze_contraction,
+    build_basis,
+    lindblad_vf,
+    max_bloch_radius,
+    model_phase_damping,
+)
+from geomstates.cli import (
+    DEFAULT_SEED,
+    REGISTRY,
+    _json_text,
+    _print_report_summary,
+    main,
+    report_json,
+    run_scenario,
+    sample_states,
+)
 from geomstates.contraction import LimitSetAlgebra
+from conftest import per_point_density_matrix
 
 BUILTINS = [
     "bloch-field",
@@ -164,6 +182,135 @@ class TestArtifacts:
         out = report_json(dataclasses.replace(rep, limit_set=point), "single-point")
         assert out["limit_set"]["free_coordinates"] == []
         assert "isomorphic_to_level" not in out["limit_set"]
+
+
+def _single_point(point):
+    return LimitSetAlgebra(
+        point=np.asarray(point, dtype=float),
+        free_indices=[],
+        directions=np.zeros((len(point), 0)),
+        poisson=[],
+        jordan=[],
+        closed=True,
+        c_red=np.zeros((1, 1, 1)),
+        d_red=np.ones((1, 1, 1)),
+    )
+
+
+class TestReports:
+    def test_booleans_are_json_booleans(self, tmp_path):
+        run_scenario("three-level-decay", out_dir=str(tmp_path),
+                     params={"points": 10}, report=True)
+        rep = json.loads((tmp_path / "three_level_decay_report.json").read_text())
+        assert rep["limit_set"]["closed"] is True
+        assert rep["stationary"]["in_body"] == [True]
+        modes = [md for sec in rep["sectors"].values() for md in sec["modes"]]
+        assert modes
+        for md in modes:
+            assert isinstance(md["polynomial_growth"], bool)
+            assert isinstance(md["oscillatory"], bool)
+
+    def test_single_point_limit_set_summary(self, basis2):
+        rep = analyze_contraction(lindblad_vf(model_phase_damping(1.0)), basis2)
+        rep = dataclasses.replace(
+            rep, verdict="divergent", limit_set=_single_point([0.0, 0.6, 6.2e-17])
+        )
+        lines = []
+        _print_report_summary(rep, report_json(rep, "single-point"), lines)
+        assert "limit set: a single point; pinned x_1=0, x_2=0.6, x_3=0" in lines
+
+
+# ------------------------------------------------------------ JSON writer
+
+_finite = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(
+    [-0.0, 5e-324, -1.7976931348623157e308, 1e16, 0.1, 1 / 3]
+)
+_json_trees = st.recursive(
+    st.none() | st.booleans() | st.integers() | _finite | st.text(),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.lists(_finite, max_size=6)
+    | st.dictionaries(st.text(max_size=6), inner, max_size=4),
+    max_leaves=40,
+)
+
+
+def _stdlib(obj):
+    return json.dumps(obj, indent=2, sort_keys=True, allow_nan=False)
+
+
+class TestJsonWriter:
+    @settings(max_examples=300, deadline=None)
+    @given(_json_trees)
+    def test_matches_stdlib(self, obj):
+        assert _json_text(obj) == _stdlib(obj)
+
+    def test_numpy_and_complex_values(self):
+        obj = {
+            "array": np.array([[1.0, -0.0], [2.5, 1e-300]]),
+            "ints": np.arange(3),
+            "scalars": [np.float64(0.1), np.float32(0.5), np.int64(7), np.bool_(False)],
+            "complex": [1.5 - 2j, np.complex128(0.25j)],
+            "flag": True,
+            7: (1, None),
+        }
+        plain = {
+            "array": [[1.0, -0.0], [2.5, 1e-300]],
+            "ints": [0, 1, 2],
+            "scalars": [0.1, 0.5, 7, False],
+            "complex": [[1.5, -2.0], [0.0, 0.25]],
+            "flag": True,
+            "7": [1, None],
+        }
+        assert _json_text(obj) == _stdlib(plain)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_floats_raise(self, bad):
+        for obj in (bad, [1.0, bad], np.array([0.0, bad]), {"a": np.float64(bad)},
+                    complex(bad, 0.0)):
+            with pytest.raises(ValueError):
+                _json_text(obj)
+
+    def test_unknown_type_raises(self):
+        with pytest.raises(TypeError):
+            _json_text({"a": object()})
+
+
+# ------------------------------------------------------------- sampling
+
+
+def _per_point_samples(basis, count, seed, anchors, cols):
+    """Reference sampler: each Halton point tested on its own matrix."""
+    pts = [np.asarray(a, dtype=float) + 0.0 for a in anchors]
+    sampler = qmc.Halton(d=len(cols), scramble=True, seed=seed)
+    R = max_bloch_radius(basis.n)
+    while len(pts) < count:
+        for u in sampler.random(max(128, 2 * (count - len(pts)))):
+            x = np.zeros(basis.m)
+            x[cols] = (2.0 * u - 1.0) * R
+            if np.linalg.eigvalsh(per_point_density_matrix(basis, x)).min() >= -1e-12:
+                pts.append(x)
+                if len(pts) == count:
+                    break
+    return np.array(pts)
+
+
+class TestSampling:
+    @pytest.mark.parametrize(
+        "n, slice_coords, n_anchors",
+        [(2, None, 0), (3, None, 1), (4, (3, 8), 3)],
+    )
+    def test_matches_per_point_reference(self, n, slice_coords, n_anchors):
+        basis = build_basis(n)
+        anchors = [0.1 * k * np.ones(basis.m) for k in range(n_anchors)]
+        cols = (
+            list(range(basis.m)) if slice_coords is None and n == 2
+            else [0, 1] if slice_coords is None
+            else [c - 1 for c in slice_coords]
+        )
+        got = sample_states(basis, 300, 11, anchors=anchors, slice_coords=slice_coords)
+        want = _per_point_samples(basis, 300, 11, anchors, cols)
+        assert got.shape == (300, basis.m)
+        assert got.tobytes() == want.tobytes()
 
 
 class TestDeterminism:

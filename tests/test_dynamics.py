@@ -36,7 +36,7 @@ from geomstates import (
     stationary_points,
     vf_from_linear_map,
 )
-from conftest import random_hermitian
+from conftest import per_point_density_matrix, random_hermitian
 
 SQ3 = np.sqrt(3.0)
 
@@ -304,6 +304,33 @@ class TestFlows:
         with pytest.raises(IntegrationDivergedError) as exc:
             integrate(Z, state0, 2.0, dt=0.05)
         assert exc.value.time is not None and exc.value.time > 0
+
+    @pytest.mark.parametrize("method", ["exact", "rk45"])
+    def test_escape_time_matches_per_sample_scan(self, basis3, rng, method):
+        # a slow rotation plus uniform growth: states leave the body mid-run
+        K = rng.normal(size=(8, 8))
+        A = 0.3 * (K - K.T) + 0.4 * np.eye(8)
+        Z = PolyVectorField.from_affine(A, np.zeros(8))
+        x0 = np.zeros(8)
+        x0[[0, 7]] = [0.2, 0.3]
+        state0 = state_from_coords(basis3, x0)
+        with pytest.raises(IntegrationDivergedError) as exc:
+            integrate(Z, state0, 6.0, dt=0.05, method=method)
+        # reference: the exact samples, scanned one at a time
+        times = np.linspace(0.0, 6.0, 121)
+        E, f = affine_flow_map(A, np.zeros(8), 0.05)
+        x = x0
+        for t in times[1:]:
+            x = E @ x + f
+            low = np.linalg.eigvalsh(per_point_density_matrix(basis3, x)).min()
+            if low < -1e-6:
+                break
+        assert 0.5 < t < 5.5
+        assert exc.value.time == t
+        msg = f"trajectory left the state body at t={t:.6g} (eigenvalue "
+        if method == "exact":
+            msg += f"{low:.3e})"
+        assert str(exc.value).startswith(msg)
 
 
 class TestStationary:

@@ -5,6 +5,7 @@ import pytest
 
 from geomstates import (
     NotAStateError,
+    StateCoordinates,
     build_basis,
     covariance,
     expectation,
@@ -17,7 +18,11 @@ from geomstates import (
     stratum,
     variance,
 )
-from conftest import random_hermitian, random_state_coords
+from conftest import (
+    per_point_density_matrix,
+    random_hermitian,
+    random_state_coords,
+)
 
 
 class TestCoordinates:
@@ -128,3 +133,31 @@ class TestJson:
         text = json.dumps({"n": 2, "x": [2.0, 0.0, 0.0]})
         with pytest.raises(NotAStateError):
             state_from_json(text)
+
+
+class TestBatchedPositivity:
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_min_eigenvalues_match_per_point(self, n, rng):
+        from geomstates.states import _density_matrices, _min_eigenvalues
+
+        basis = build_basis(n)
+        rows = [np.zeros(basis.m)]
+        for _ in range(6):
+            v = rng.normal(size=n) + 1j * rng.normal(size=n)
+            v /= np.linalg.norm(v)
+            pure = state_from_matrix(np.outer(v, v.conj()), basis).x
+            # a pure state, one just outside the body and an interior one
+            rows += [pure, pure * (1 + 1e-9), pure * 1.05, 0.5 * pure]
+        rows += [random_state_coords(rng, basis).x for _ in range(5)]
+        X = np.array(rows)
+        mats = _density_matrices(basis, X)
+        low = _min_eigenvalues(basis, X)
+        for i, x in enumerate(X):
+            ref = per_point_density_matrix(basis, x)
+            assert mats[i].tobytes() == ref.tobytes()
+            state = StateCoordinates(basis, x)
+            assert state_to_matrix(state).tobytes() == ref.tobytes()
+            want = np.linalg.eigvalsh(state_to_matrix(state)).min()
+            assert low[i].tobytes() == want.tobytes()
+        # the rows just outside the body do fail a zero-slack test
+        assert (low[2::4][:6] < 0).all() and (low[4::4][:6] > 0).all()
