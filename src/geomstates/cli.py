@@ -66,7 +66,7 @@ from scipy.stats import qmc
 
 from .algebra import build_basis
 from .errors import GeomstatesError, InvariantViolationError
-from .poly import Poly, PolyVectorField
+from .poly import PolyVectorField
 from .states import _min_eigenvalues, max_bloch_radius
 from .tensors import (
     field_csv_rows,
@@ -273,6 +273,10 @@ def sample_states(basis, count, seed, anchors=(), slice_coords=None):
     order.
     """
     m, n = basis.m, basis.n
+    if count < 0:
+        raise InvariantViolationError(
+            f"the number of grid points must be nonnegative, got {count}"
+        )
     # "+ 0.0" turns negative zeros into plain zeros for clean CSV output
     pts = [np.asarray(a, dtype=float) + 0.0 for a in anchors]
     if len(pts) >= count:
@@ -305,11 +309,18 @@ def sample_states(basis, count, seed, anchors=(), slice_coords=None):
 # -------------------------------------------------------------- serializers
 
 
-def _json_text(obj, pad="\n"):
+def _json_text(obj, pad="\n", cache=None):
     """``obj`` as ``json.dumps(obj, indent=2, sort_keys=True,
     allow_nan=False)`` writes it, in one pass that also takes numpy arrays
     and scalars, and complex values as ``[re, im]``.  ``pad`` is the line
-    break and indentation of the enclosing level."""
+    break and indentation of the enclosing level; ``cache`` holds the text
+    of float arrays (see :func:`_array_text`) within one document."""
+    if cache is None:
+        cache = {}
+    if isinstance(obj, np.ndarray):
+        if obj.dtype == np.float64 and obj.ndim:
+            return _array_text(obj, pad, cache)
+        return _json_text(obj.tolist(), pad, cache)
     inner = pad + "  "
     if isinstance(obj, (list, tuple)):
         if not obj:
@@ -317,13 +328,13 @@ def _json_text(obj, pad="\n"):
         if set(map(type, obj)) == {float} and all(map(isfinite, obj)):
             texts = map(float.__repr__, obj)
         else:
-            texts = [_json_text(v, inner) for v in obj]
+            texts = [_json_text(v, inner, cache) for v in obj]
         return "[" + inner + ("," + inner).join(texts) + pad + "]"
     if isinstance(obj, dict):
         if not obj:
             return "{}"
         items = sorted({str(k): v for k, v in obj.items()}.items(), key=itemgetter(0))
-        texts = [encode_basestring_ascii(k) + ": " + _json_text(v, inner)
+        texts = [encode_basestring_ascii(k) + ": " + _json_text(v, inner, cache)
                  for k, v in items]
         return "{" + inner + ("," + inner).join(texts) + pad + "}"
     if isinstance(obj, str):
@@ -342,10 +353,33 @@ def _json_text(obj, pad="\n"):
     if isinstance(obj, (int, np.integer)):
         return int.__repr__(int(obj))
     if isinstance(obj, (complex, np.complexfloating)):
-        return _json_text([obj.real, obj.imag], pad)
-    if isinstance(obj, np.ndarray):
-        return _json_text(obj.tolist(), pad)
+        return _json_text([obj.real, obj.imag], pad, cache)
     raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+
+
+def _array_text(a, pad, cache):
+    """A float64 array as :func:`_json_text` writes its nested list.  Each
+    array and sub-array is rendered once per distinct shape, bytes and
+    ``pad``; a non-finite entry raises ``ValueError``."""
+    key = (pad, a.shape, a.tobytes())
+    text = cache.get(key)
+    if text is None:
+        inner = pad + "  "
+        if not a.shape[0]:
+            text = "[]"
+        elif a.ndim > 1:
+            texts = [_array_text(r, inner, cache) for r in a]
+            text = "[" + inner + ("," + inner).join(texts) + pad + "]"
+        else:
+            vals = a.tolist()
+            for v in vals:
+                if not isfinite(v):
+                    raise ValueError(
+                        f"out of range float values are not JSON compliant: {v!r}"
+                    )
+            text = "[" + inner + ("," + inner).join(map(float.__repr__, vals)) + pad + "]"
+        cache[key] = text
+    return text
 
 
 def _grid_json(grid):
@@ -441,13 +475,15 @@ def report_json(report, model_name):
 
 def _constants_grid(const):
     """Products ``x_j, x_k -> const[j,k,0] + sum_l const[j,k,l] x_l`` of the
-    coordinate functions, read off a structure-constant array."""
+    coordinate functions, read off a structure-constant array, as
+    ``{c0, c1, c2}`` dicts holding arrays."""
     m = const.shape[0] - 1
     # "+ 0.0" turns negative zeros into plain zeros for clean JSON output
+    grid = const[1:, 1:] + 0.0
+    c2 = np.zeros((m, m))
     return [
-        [Poly(m, c0=const[j, k, 0] + 0.0, c1=const[j, k, 1:] + 0.0).to_dict()
-         for k in range(1, m + 1)]
-        for j in range(1, m + 1)
+        [{"c0": float(grid[j, k, 0]), "c1": grid[j, k, 1:], "c2": c2} for k in range(m)]
+        for j in range(m)
     ]
 
 

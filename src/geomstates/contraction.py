@@ -6,13 +6,23 @@ Lie derivative
 
     ``(L_Z T)^{jk} = Z^m d_m T^{jk} - T^{mk} d_m Z^j - T^{jm} d_m Z^k``,
 
-and the flow ``Phi_t`` of ``Z`` pushes tensors forward; on the polynomial
-coefficient space this push-forward is the one-parameter group
-``T_t = exp(-t L_Z) T``.  For affine ``Z`` the coefficient space of each
-degree-<=2 component is finite dimensional and ``L_Z`` becomes an explicit
-matrix (the superoperator built here), so the entire tensor flow reduces to
-a matrix exponential and its ``t -> infinity`` behaviour to a spectral
-analysis:
+and the flow ``Phi_t`` of ``Z`` pushes tensors forward.  For affine
+``Z(x) = A x + b`` the flow map is affine, ``Phi_t(x) = E x + f`` with
+``(E, f)`` from one augmented matrix exponential, so the push-forward is a
+change of coordinates:
+
+    ``T_t(y) = E T(Phi_{-t}(y)) E^T``.
+
+On the coefficient arrays of a degree-<=2 tensor field this is an affine
+substitution of the variables followed by a congruence of the component
+indices (:class:`TensorFlowFamily`), which is how finite-time transport is
+computed.
+
+The same push-forward is the one-parameter group ``T_t = exp(-t L_Z) T`` on
+the flattened coefficient space, where ``L_Z`` is an explicit matrix (the
+superoperator built here).  Its ``exp`` serves the tests as an independent
+oracle for the transport; the superoperator itself serves the
+``t -> infinity`` analysis, which is spectral:
 
 * eigenvalues of the superoperator with positive real part are decaying
   directions of the tensor flow,
@@ -45,7 +55,7 @@ from .errors import (
     InvariantViolationError,
     LimitExistsError,
 )
-from .poly import Poly, PolyTensorField, PolyVectorField
+from .poly import Poly, PolyTensorField, _sym2, _sym3
 from .states import StateCoordinates
 from .tensors import poisson_field, symmetric_field
 from .dynamics import affine_flow_map, stationary_points
@@ -53,8 +63,6 @@ from .dynamics import affine_flow_map, stationary_points
 __all__ = [
     "lie_derivative",
     "tensor_pairs",
-    "flatten_poly",
-    "unflatten_poly",
     "flatten_field",
     "unflatten_field",
     "slot_label",
@@ -93,36 +101,38 @@ def lie_derivative(Z, T, tol=1e-12):
     """
     if Z.m != T.m:
         raise DimensionError("field and tensor live on different spaces")
-    m = T.m
-    scale = max(1.0, Z.max_abs() * T.max_abs())
-    out = []
-    for j in range(m):
-        row = []
-        for k in range(m):
-            acc = Poly(m)
-            c3 = np.zeros((m, m, m))
-            for mu in range(m):
-                for a, b in (
-                    (Z.components[mu], T.components[j][k].partial(mu)),
-                    (T.components[mu][k].scale(-1.0), Z.components[j].partial(mu)),
-                    (T.components[j][mu].scale(-1.0), Z.components[k].partial(mu)),
-                ):
-                    prod, over3, over4 = a.multiply_tracked(b)
-                    if over4 > tol * scale:
-                        raise DegreeOverflowError(
-                            "Lie derivative produced quartic terms"
-                        )
-                    acc = acc + prod
-                    c3 += over3
-            if float(np.abs(c3).max(initial=0.0)) > tol * scale:
-                raise DegreeOverflowError(
-                    f"Lie derivative component ({j},{k}) has non-cancelling "
-                    f"cubic terms of size {np.abs(c3).max():.3e}"
-                )
-            row.append(acc)
-        out.append(row)
-    symmetry = T.symmetry
-    return PolyTensorField(out, symmetry=symmetry, validate_tol=None)
+    z0, z1, z2 = Z.c0, Z.c1, Z.c2
+    t0, t1, t2 = T.c0, T.c1, T.c2
+    # Z^u d_u T^{jk}, with d_u T^{jk} = t1[j,k,u] + 2 t2[j,k,u,l] x_l
+    c0 = np.einsum("u,jku->jk", z0, t1)
+    c1 = np.einsum("ul,jku->jkl", z1, t1) + 2.0 * np.einsum("u,jkul->jkl", z0, t2)
+    c2 = 2.0 * np.einsum("ul,jkup->jklp", z1, t2) + np.einsum("ulp,jku->jklp", z2, t1)
+    # - T^{uk} d_u Z^j - T^{ju} d_u Z^k, with d_u Z^j = z1[j,u] + 2 z2[j,u,l] x_l
+    c0 -= np.einsum("ju,uk->jk", z1, t0) + np.einsum("ju,ku->jk", t0, z1)
+    c1 -= (
+        np.einsum("ju,ukl->jkl", z1, t1)
+        + 2.0 * np.einsum("jul,uk->jkl", z2, t0)
+        + np.einsum("jul,ku->jkl", t1, z1)
+        + 2.0 * np.einsum("ju,kul->jkl", t0, z2)
+    )
+    c2 -= (
+        np.einsum("ju,uklp->jklp", z1, t2)
+        + 2.0 * np.einsum("jul,ukp->jklp", z2, t1)
+        + np.einsum("julp,ku->jklp", t2, z1)
+        + 2.0 * np.einsum("jul,kup->jklp", t1, z2)
+    )
+    if z2.any() and t2.any():
+        c3 = 2.0 * (
+            np.einsum("ulp,jkuq->jklpq", z2, t2)
+            - np.einsum("jul,ukpq->jklpq", z2, t2)
+            - np.einsum("julp,kuq->jklpq", t2, z2)
+        )
+        over = float(np.abs(_sym3(c3)).max(initial=0.0))
+        if over > tol * max(1.0, Z.max_abs() * T.max_abs()):
+            raise DegreeOverflowError(
+                f"Lie derivative has non-cancelling cubic terms of size {over:.3e}"
+            )
+    return PolyTensorField.from_arrays(c0, c1, c2, T.symmetry, validate_tol=None)
 
 
 # ------------------------------------------------------------------ flattening
@@ -144,48 +154,46 @@ def coeff_size(m):
     return 1 + m + m * (m + 1) // 2
 
 
-def flatten_poly(p):
-    iu = np.triu_indices(p.m)
-    return np.concatenate(([p.c0], p.c1, p.c2[iu]))
-
-
-def unflatten_poly(vec, m):
-    vec = np.asarray(vec, dtype=float)
-    q = coeff_size(m)
-    if vec.shape != (q,):
-        raise DimensionError(f"coefficient vector must have length {q}")
-    c0 = vec[0]
-    c1 = vec[1 : 1 + m]
-    c2 = np.zeros((m, m))
-    iu = np.triu_indices(m)
-    c2[iu] = vec[1 + m :]
-    c2 = c2 + c2.T - np.diag(np.diag(c2))
-    return Poly(m, c0, c1, c2)
-
-
-def flatten_field(T):
-    """Stack the canonical components' coefficient vectors (pair-major)."""
-    return np.concatenate(
-        [flatten_poly(T.components[j][k]) for j, k in tensor_pairs(T.m, T.symmetry)]
+def _pair_index(m, symmetry):
+    pairs = tensor_pairs(m, symmetry)
+    return (
+        np.array([j for j, _ in pairs], dtype=int),
+        np.array([k for _, k in pairs], dtype=int),
     )
 
 
+def flatten_field(T):
+    """Stack the canonical components' coefficient vectors (pair-major):
+    ``c0``, then ``c1``, then the upper triangle of ``c2``, row by row."""
+    pj, pk = _pair_index(T.m, T.symmetry)
+    iu = np.triu_indices(T.m)
+    return np.concatenate(
+        [T.c0[pj, pk][:, None], T.c1[pj, pk], T.c2[pj, pk][:, iu[0], iu[1]]], axis=1
+    ).ravel()
+
+
 def unflatten_field(vec, m, symmetry):
-    pairs = tensor_pairs(m, symmetry)
+    """Inverse of :func:`flatten_field`; the components below the diagonal
+    are the mirrored canonical ones (negated when antisymmetric)."""
+    pj, pk = _pair_index(m, symmetry)
     q = coeff_size(m)
     vec = np.asarray(vec, dtype=float)
-    if vec.shape != (len(pairs) * q,):
+    if vec.shape != (pj.size * q,):
         raise DimensionError(
-            f"flat vector must have length {len(pairs) * q}, got {vec.shape}"
+            f"flat vector must have length {pj.size * q}, got {vec.shape}"
         )
-    grid = [[Poly(m) for _ in range(m)] for _ in range(m)]
-    sgn = -1.0 if symmetry == "antisymmetric" else 1.0
-    for idx, (j, k) in enumerate(pairs):
-        p = unflatten_poly(vec[idx * q : (idx + 1) * q], m)
-        grid[j][k] = p
-        if symmetry != "none" and k != j:
-            grid[k][j] = p.scale(sgn)
-    return PolyTensorField(grid, symmetry=symmetry, validate_tol=None)
+    V = vec.reshape(pj.size, q)
+    c0 = np.zeros((m, m))
+    c1 = np.zeros((m, m, m))
+    c2 = np.zeros((m, m, m, m))
+    c0[pj, pk] = V[:, 0]
+    c1[pj, pk] = V[:, 1 : 1 + m]
+    # "+ 0.0": a quadratic part rebuilt from its triangle has no negative zeros
+    tri = V[:, 1 + m :] + 0.0
+    iu = np.triu_indices(m)
+    c2[pj[:, None], pk[:, None], iu[0], iu[1]] = tri
+    c2[pj[:, None], pk[:, None], iu[1], iu[0]] = tri
+    return PolyTensorField._mirrored(c0, c1, c2, symmetry)
 
 
 def slot_label(m, flat_index, symmetry, names=None):
@@ -261,12 +269,8 @@ def build_superoperator(Z, symmetry):
     Raises :class:`InvariantViolationError` before allocating when the dense
     matrix and the batched basis tensors would not fit in memory.
     """
-    if not Z.is_affine:
-        raise InvariantViolationError(
-            "tensor-flow superoperators require an affine vector field"
-        )
     m = Z.m
-    alpha, beta = Z.linear_parts()
+    alpha, beta = _affine_parts(Z)
     pairs = tensor_pairs(m, symmetry)
     q = coeff_size(m)
     P = len(pairs)
@@ -325,44 +329,86 @@ def build_superoperator(Z, symmetry):
     )
 
 
-@dataclass
-class TensorFlowFamily:
-    """One-parameter family ``T_t = exp(-t L_Z) T_0`` of tensor fields."""
+def _affine_parts(Z):
+    if not Z.is_affine:
+        raise InvariantViolationError(
+            "tensor-flow superoperators require an affine vector field"
+        )
+    return Z.linear_parts()
 
-    superop: LieDerivativeSuperoperator
-    initial: PolyTensorField
-    flat0: np.ndarray
+
+def _congruence(E, C):
+    """``E[j, a] E[k, b] C[a, b, ...]``: the component indices of a stacked
+    tensor coefficient array ``C`` mapped by ``E``."""
+    return np.tensordot(E, np.tensordot(E, C, axes=(1, 1)), axes=(1, 1))
+
+
+class TensorFlowFamily:
+    """One-parameter family ``T_t = Phi_{t*} T_0`` of tensor fields
+    transported along the flow of an affine field.
+
+    :meth:`tensor_at` takes the geometric route: with
+    ``Phi_t(x) = E x + f`` from :func:`~geomstates.dynamics.affine_flow_map`,
+    ``T_t(y) = E T_0(Phi_{-t}(y)) E^T``, which on coefficient arrays is the
+    affine substitution ``x = Phi_{-t}(y)`` in every component followed by
+    the congruence by ``E`` of the component indices.  The Lie-derivative
+    superoperator ``superop``, with ``flat(T_t) = expm(-t M) flat0``, is
+    built on first access only; the asymptotic analysis needs it, and the
+    tests use its ``expm`` as an oracle for the transport.
+    """
+
+    def __init__(self, field, initial):
+        self.field = field
+        self.initial = initial
+        self.flat0 = flatten_field(initial)
+        self._affine = _affine_parts(field)
+        self._superop = None
+
+    @property
+    def superop(self):
+        if self._superop is None:
+            self._superop = build_superoperator(self.field, self.initial.symmetry)
+        return self._superop
 
     def tensor_at(self, t):
-        return unflatten_field(
-            self.flat_at(t), self.superop.m, self.superop.symmetry
+        A, b = self._affine
+        E, _ = affine_flow_map(A, b, t)
+        G, g = affine_flow_map(A, b, -t)
+        T = self.initial
+        # T o Phi_{-t}: substitute x = G y + g in every component
+        c2g = T.c2 @ g
+        c0 = T.c0 + T.c1 @ g + c2g @ g
+        c1 = (T.c1 + 2.0 * c2g) @ G
+        c2 = G.T @ T.c2 @ G
+        return PolyTensorField._mirrored(
+            _congruence(E, c0),
+            _congruence(E, c1),
+            _sym2(_congruence(E, c2)),
+            T.symmetry,
         )
 
     def flat_at(self, t):
-        M = self.superop.matrix
-        if self.superop.is_diagonal():
-            return np.exp(-float(t) * np.diag(M)) * self.flat0
-        return scipy.linalg.expm(-float(t) * M) @ self.flat0
+        return flatten_field(self.tensor_at(t))
 
 
 def flow_family(Z, T):
-    """Build the flow family of a tensor field along an affine field."""
-    sup = build_superoperator(Z, T.symmetry)
-    return TensorFlowFamily(superop=sup, initial=T, flat0=flatten_field(T))
+    """The flow family of a tensor field along an affine field."""
+    return TensorFlowFamily(Z, T)
 
 
 def flow_tensor(Z, T, t):
-    """The push-forward ``Phi_{t*} T`` of a tensor field along the flow."""
+    """The push-forward ``Phi_{t*} T`` of a tensor field along the flow of
+    an affine field, by the geometric route of :class:`TensorFlowFamily`."""
     return flow_family(Z, T).tensor_at(t)
 
 
 def pushforward_affine(Z, T, t, y):
     """Point value of the push-forward by the *geometric* route.
 
-    Independent of the coefficient-space exponential: evaluates
-    ``(Phi_{t*}T)(y) = E T(Phi_{-t}(y)) E^T`` with ``E = exp(tA)`` the
-    (constant) Jacobian of the affine flow map.  Used to cross-check
-    :func:`flow_tensor`.
+    Evaluates ``(Phi_{t*}T)(y) = E T(Phi_{-t}(y)) E^T`` with ``E = exp(tA)``
+    the (constant) Jacobian of the affine flow map, one point at a time,
+    for any ``Z`` with ``linear_parts()`` and any callable ``T``.  Used to
+    cross-check :func:`flow_tensor`.
     """
     A, b = Z.linear_parts()
     E, _ = affine_flow_map(A, b, t)

@@ -38,14 +38,14 @@ from .errors import (
     NonHermitianError,
     NotAStateError,
 )
-from .poly import Poly, PolyVectorField
+from .poly import PolyVectorField
 from .states import (
     StateCoordinates,
     _min_eigenvalues,
     max_bloch_radius,
     state_from_matrix,
 )
-from .tensors import gradient_vf, hamiltonian_vf
+from .tensors import _rank_one_c2, gradient_vf, hamiltonian_vf
 
 __all__ = [
     "LindbladModel",
@@ -114,20 +114,15 @@ def vf_from_linear_map(T, basis, snap_tol=1e-12):
         raise DimensionError(
             f"expansion matrix must be ({basis.dim},{basis.dim}), got {s.shape}"
         )
-    n, m = basis.n, basis.m
+    n = basis.n
     scale = max(1.0, float(np.abs(s).max()))
     cut = snap_tol * scale
-    w = s[0, 1:]
-    comps = []
-    for k in range(m):
-        c0 = (2.0 / n) * s[k + 1, 0]
-        c1 = s[k + 1, 1:].copy()
-        c1[k] -= s[0, 0]
-        c2 = np.zeros((m, m))
-        c2[k, :] -= 0.25 * n * w
-        c2[:, k] -= 0.25 * n * w
-        comps.append(Poly(m, c0, c1, c2))
-    Z = PolyVectorField(comps)
+    idx = np.arange(basis.m)
+    c1 = s[1:, 1:].copy()
+    c1[idx, idx] -= s[0, 0]
+    Z = PolyVectorField.from_arrays(
+        (2.0 / n) * s[1:, 0], c1, _rank_one_c2(0.25 * n * s[0, 1:])
+    )
     if snap_tol > 0.0:
         Z = Z.snap(cut)
     return Z
@@ -375,11 +370,10 @@ def model_gisin(basis_or_n, H):
     # W[k, j, l] = sum_{p,q} H^p c[l, p, q] c[j, q, k]
     W = np.einsum("p,lpq,jqk->kjl", hc, c, c)
     m = basis.m
-    comps = []
-    for k in range(m):
-        blk = W[k + 1, 1:, 1:]
-        comps.append(Poly(m, c2=0.25 * (blk + blk.T)))
-    return PolyVectorField(comps)
+    blk = W[1:, 1:, 1:]
+    return PolyVectorField.from_arrays(
+        np.zeros(m), np.zeros((m, m)), 0.25 * (blk + blk.transpose(0, 2, 1))
+    )
 
 
 def model_double_bracket(basis_or_n, H):
@@ -482,10 +476,12 @@ def integrate(Z, state0, t_end, dt=None, method="auto", positivity_slack=1e-6):
     if Z.m != basis.m:
         raise BasisMismatchError("field and state have different dimensions")
     t_end = float(t_end)
-    if t_end < 0:
+    if not t_end >= 0:
         raise DimensionError("integration time must be nonnegative")
     if dt is None:
         dt = t_end / 200.0 if t_end > 0 else 1.0
+    elif not float(dt) > 0:
+        raise DimensionError(f"sample step must be positive, got {dt!r}")
     steps = max(1, int(round(t_end / dt))) if t_end > 0 else 0
     times = np.linspace(0.0, t_end, steps + 1)
 

@@ -13,9 +13,24 @@ are equal iff their triples are equal.  Operations that could leave this
 space (products of two quadratics, commutators of quadratic fields) track
 the would-be cubic/quartic coefficients and raise
 :class:`~geomstates.errors.DegreeOverflowError` unless they cancel.
+
+A field stores the triples of all its components as three stacked
+coefficient arrays, with the component indices leading:
+
+* a vector field ``Z`` holds ``c0 (m)``, ``c1 (m, m)`` and ``c2 (m, m, m)``,
+  so ``Z^k(x) = c0[k] + c1[k] . x + x^T c2[k] x``;
+* a tensor field ``T`` holds ``c0 (m, m)``, ``c1 (m, m, m)`` and
+  ``c2 (m, m, m, m)``, with ``T^{jk}`` in slot ``[j, k]``.
+
+Evaluation (at a point or over an ``(N, m)`` batch of points), sums,
+contraction and snapping are array operations on these stacks.
+``components`` and ``component(j, k)`` return :class:`Poly` views that share
+the field's arrays.
 """
 
 from __future__ import annotations
+
+import itertools
 
 import numpy as np
 
@@ -28,20 +43,43 @@ __all__ = [
 ]
 
 
-def _sym2(mat):
-    return 0.5 * (mat + mat.T)
+def _sym2(a):
+    """Symmetrization over the last two axes."""
+    return 0.5 * (a + np.swapaxes(a, -1, -2))
 
 
 def _sym3(t):
-    """Full symmetrization of a rank-3 coefficient array."""
-    return (
-        t
-        + t.transpose(0, 2, 1)
-        + t.transpose(1, 0, 2)
-        + t.transpose(1, 2, 0)
-        + t.transpose(2, 0, 1)
-        + t.transpose(2, 1, 0)
+    """Full symmetrization over the last three axes."""
+    lead = tuple(range(t.ndim - 3))
+    return sum(
+        t.transpose(lead + tuple(len(lead) + i for i in p))
+        for p in itertools.permutations(range(3))
     ) / 6.0
+
+
+def _values(c0, c1, c2, x):
+    """Values of the stacked polynomials ``c0[i] + c1[i] . x + x^T c2[i] x``
+    (``c0 (K)``, ``c1 (K, m)``, ``c2 (K, m, m)``) at a point ``(m,)``, as
+    ``(K,)``, or over points ``(N, m)``, as ``(N, K)``.
+
+    Summed as ``(c0 + c1 . x) + x^T c2 x``, the order of :meth:`Poly.__call__`;
+    the quadratic term of an affine stack is an exact zero.
+    """
+    m = c1.shape[-1]
+    x = np.asarray(x, dtype=float)
+    if x.ndim not in (1, 2) or x.shape[-1] != m:
+        raise DimensionError(
+            f"points must have shape ({m},) or (N, {m}), got {x.shape}"
+        )
+    X = x.reshape(-1, m)
+    out = c0 + X @ c1.T
+    if c2.any():
+        out += np.matmul(
+            np.matmul(X[:, None, None, :], c2), X[:, None, :, None]
+        )[:, :, 0, 0]
+    else:
+        out += 0.0
+    return out if x.ndim == 2 else out[0]
 
 
 class Poly:
@@ -71,6 +109,17 @@ class Poly:
                     f"quadratic coefficient must have shape ({m},{m}), got {c2.shape}"
                 )
             self.c2 = _sym2(c2)
+
+    @classmethod
+    def _view(cls, c0, c1, c2):
+        """Poly sharing the arrays ``c1`` and ``c2`` (already symmetric) of
+        a field component."""
+        p = cls.__new__(cls)
+        p.m = c1.shape[0]
+        p.c0 = float(c0)
+        p.c1 = c1
+        p.c2 = c2
+        return p
 
     # ---------------------------------------------------------------- basics
     @classmethod
@@ -171,10 +220,6 @@ class Poly:
         if not 0 <= k < self.m:
             raise DimensionError(f"coordinate index {k} out of range for m={self.m}")
         return Poly(self.m, c0=self.c1[k], c1=2.0 * self.c2[k])
-
-    def gradient(self):
-        """All partial derivatives, as a list of Poly of degree <= 1."""
-        return [self.partial(k) for k in range(self.m)]
 
     # --------------------------------------------------------------- product
     def multiply_tracked(self, other):
@@ -323,10 +368,27 @@ class Poly:
         return out
 
 
-class PolyVectorField:
-    """Vector field on coordinate space with Poly components ``Z^k``."""
+def _coeff_arrays(c0, c1, c2, lead, m):
+    """Float copies of stacked coefficient arrays with leading shape
+    ``lead``; ``c2`` is symmetrized as :class:`Poly` does, ``None`` is 0."""
+    c0 = np.array(c0, dtype=float)
+    c1 = np.array(c1, dtype=float)
+    c2 = np.zeros(lead + (m, m)) if c2 is None else _sym2(np.asarray(c2, dtype=float))
+    for name, arr, shape in (
+        ("c0", c0, lead),
+        ("c1", c1, lead + (m,)),
+        ("c2", c2, lead + (m, m)),
+    ):
+        if arr.shape != shape:
+            raise DimensionError(f"{name} must have shape {shape}, got {arr.shape}")
+    return c0, c1, c2
 
-    __slots__ = ("m", "components")
+
+class PolyVectorField:
+    """Vector field on coordinate space with Poly components ``Z^k``, stored
+    as the arrays ``c0 (m)``, ``c1 (m, m)`` and ``c2 (m, m, m)``."""
+
+    __slots__ = ("m", "c0", "c1", "c2")
 
     def __init__(self, components):
         components = list(components)
@@ -341,11 +403,29 @@ class PolyVectorField:
             if not isinstance(p, Poly) or p.m != m:
                 raise DimensionError("all components must be Poly in the same m")
         self.m = m
-        self.components = components
+        self.c0 = np.array([p.c0 for p in components])
+        self.c1 = np.array([p.c1 for p in components])
+        self.c2 = np.array([p.c2 for p in components])
+
+    @classmethod
+    def _of(cls, c0, c1, c2):
+        Z = cls.__new__(cls)
+        Z.m, Z.c0, Z.c1, Z.c2 = c0.shape[0], c0, c1, c2
+        return Z
+
+    @classmethod
+    def from_arrays(cls, c0, c1, c2=None):
+        """Field ``Z^k(x) = c0[k] + c1[k] . x + x^T c2[k] x``; ``c2`` is
+        symmetrized over its last two axes."""
+        c0 = np.asarray(c0, dtype=float)
+        if c0.ndim != 1 or c0.shape[0] == 0:
+            raise DimensionError("a vector field needs at least one component")
+        m = c0.shape[0]
+        return cls._of(*_coeff_arrays(c0, c1, c2, (m,), m))
 
     @classmethod
     def zero(cls, m):
-        return cls([Poly(m) for _ in range(m)])
+        return cls.from_arrays(np.zeros(m), np.zeros((m, m)))
 
     @classmethod
     def from_affine(cls, mat, const=None):
@@ -356,42 +436,51 @@ class PolyVectorField:
             raise DimensionError("affine part must be square")
         if const is None:
             const = np.zeros(m)
-        const = np.asarray(const, dtype=float)
-        return cls([Poly(m, c0=const[k], c1=mat[k]) for k in range(m)])
+        return cls.from_arrays(const, mat)
+
+    @property
+    def components(self):
+        return [Poly._view(self.c0[k], self.c1[k], self.c2[k]) for k in range(self.m)]
 
     def __call__(self, x):
-        x = np.asarray(x, dtype=float)
-        return np.array([p(x) for p in self.components])
+        """Value ``(m,)`` at a point ``(m,)``, or values ``(N, m)`` over
+        points ``(N, m)``."""
+        return _values(self.c0, self.c1, self.c2, x)
+
+    def _check(self, other):
+        if other.m != self.m:
+            raise DimensionError("vector fields live on different spaces")
 
     def __add__(self, other):
         if not isinstance(other, PolyVectorField):
             return NotImplemented
-        if other.m != self.m:
-            raise DimensionError("vector fields live on different spaces")
-        return PolyVectorField(
-            [a + b for a, b in zip(self.components, other.components)]
+        self._check(other)
+        return PolyVectorField._of(
+            self.c0 + other.c0, self.c1 + other.c1, self.c2 + other.c2
         )
 
     def __sub__(self, other):
         if not isinstance(other, PolyVectorField):
             return NotImplemented
-        if other.m != self.m:
-            raise DimensionError("vector fields live on different spaces")
-        return PolyVectorField(
-            [a - b for a, b in zip(self.components, other.components)]
+        self._check(other)
+        return PolyVectorField._of(
+            self.c0 - other.c0, self.c1 - other.c1, self.c2 - other.c2
         )
 
     def __neg__(self):
-        return PolyVectorField([-p for p in self.components])
+        return PolyVectorField._of(-self.c0, -self.c1, -self.c2)
 
     def scale(self, s):
-        return PolyVectorField([p.scale(s) for p in self.components])
+        s = float(s)
+        return PolyVectorField._of(s * self.c0, s * self.c1, s * self.c2)
 
     def max_abs(self):
-        return max(p.max_abs() for p in self.components)
+        return float(
+            max(np.abs(a).max(initial=0.0) for a in (self.c0, self.c1, self.c2))
+        )
 
     def max_abs_quadratic(self):
-        return max(p.max_abs_quadratic() for p in self.components)
+        return float(np.abs(self.c2).max(initial=0.0))
 
     @property
     def is_affine(self):
@@ -401,26 +490,19 @@ class PolyVectorField:
         """Return ``(A, b)`` with ``Z(x) = A x + b``; requires affine field."""
         if not self.is_affine:
             raise ValueError("field is not affine; no (A, b) representation")
-        A = np.array([p.c1 for p in self.components])
-        b = np.array([p.c0 for p in self.components])
-        return A, b
+        return self.c1.copy(), self.c0.copy()
 
     def jacobian(self, x):
         x = np.asarray(x, dtype=float)
-        J = np.empty((self.m, self.m))
-        for k, p in enumerate(self.components):
-            J[k] = p.c1 + 2.0 * (p.c2 @ x)
-        return J
+        return self.c1 + 2.0 * (self.c2 @ x)
 
     def snap(self, tol):
-        return PolyVectorField([p.snap(tol) for p in self.components])
+        return PolyVectorField._of(*_snapped(self, tol))
 
     def allclose(self, other, tol=1e-12):
         if other.m != self.m:
             return False
-        return all(
-            a.allclose(b, tol) for a, b in zip(self.components, other.components)
-        )
+        return _max_diff(self, other) <= tol
 
     def directional_derivative(self, f):
         """The function ``Z(f) = sum_k Z^k  df/dx_k`` for degree <= 1 ``f``.
@@ -440,21 +522,17 @@ class PolyVectorField:
         (relative to the coefficient scale), else
         :class:`DegreeOverflowError` is raised.
         """
-        if other.m != self.m:
-            raise DimensionError("vector fields live on different spaces")
+        self._check(other)
         m = self.m
         comps = []
         scale = max(1.0, self.max_abs() * other.max_abs())
+        mine, theirs = self.components, other.components
         for k in range(m):
             acc = Poly(m)
             c3 = np.zeros((m, m, m))
             for j in range(m):
-                t1, o1, q1 = self.components[j].multiply_tracked(
-                    other.components[k].partial(j)
-                )
-                t2, o2, q2 = other.components[j].multiply_tracked(
-                    self.components[k].partial(j)
-                )
+                t1, o1, q1 = mine[j].multiply_tracked(theirs[k].partial(j))
+                t2, o2, q2 = theirs[j].multiply_tracked(mine[k].partial(j))
                 if max(q1, q2) > 0.0:
                     raise DegreeOverflowError(
                         "commutator of two quadratic fields needs quartic tracking"
@@ -481,19 +559,33 @@ class PolyVectorField:
         return "\n".join(lines)
 
 
+def _snapped(field, tol):
+    """Coefficient arrays of ``field`` with entries below ``tol`` zeroed."""
+    return tuple(
+        np.where(np.abs(a) > tol, a, 0.0) for a in (field.c0, field.c1, field.c2)
+    )
+
+
+def _max_diff(a, b):
+    return max(
+        float(np.abs(x - y).max(initial=0.0))
+        for x, y in ((a.c0, b.c0), (a.c1, b.c1), (a.c2, b.c2))
+    )
+
+
 _SYMMETRIES = ("antisymmetric", "symmetric", "none")
 
 
 class PolyTensorField:
-    """Rank-2 contravariant tensor field with Poly components ``T^{jk}``."""
+    """Rank-2 contravariant tensor field with Poly components ``T^{jk}``,
+    stored as the arrays ``c0 (m, m)``, ``c1 (m, m, m)`` and
+    ``c2 (m, m, m, m)``."""
 
-    __slots__ = ("m", "symmetry", "components")
+    __slots__ = ("m", "symmetry", "c0", "c1", "c2")
 
     def __init__(self, components, symmetry="none", validate_tol=1e-10):
-        if symmetry not in _SYMMETRIES:
-            raise ValueError(f"symmetry must be one of {_SYMMETRIES}")
         m = len(components)
-        comps = []
+        rows = []
         for row in components:
             row = list(row)
             if len(row) != m:
@@ -501,37 +593,91 @@ class PolyTensorField:
             for p in row:
                 if not isinstance(p, Poly) or p.m != m:
                     raise DimensionError("all components must be Poly in m variables")
-            comps.append(row)
-        self.m = m
+            rows.append(row)
+        self._set(
+            symmetry,
+            np.array([[p.c0 for p in row] for row in rows], dtype=float).reshape(m, m),
+            np.array([[p.c1 for p in row] for row in rows], dtype=float).reshape(m, m, m),
+            np.array([[p.c2 for p in row] for row in rows], dtype=float).reshape(
+                m, m, m, m
+            ),
+            validate_tol,
+        )
+
+    def _set(self, symmetry, c0, c1, c2, validate_tol=None):
+        if symmetry not in _SYMMETRIES:
+            raise ValueError(f"symmetry must be one of {_SYMMETRIES}")
+        self.m = c0.shape[0]
         self.symmetry = symmetry
-        self.components = comps
+        self.c0, self.c1, self.c2 = c0, c1, c2
         if symmetry != "none" and validate_tol is not None:
             sign = -1.0 if symmetry == "antisymmetric" else 1.0
-            for j in range(m):
-                for k in range(j, m):
-                    mirr = comps[k][j].scale(sign)
-                    if not comps[j][k].allclose(mirr, validate_tol):
-                        raise ValueError(
-                            f"components ({j},{k}) and ({k},{j}) violate "
-                            f"{symmetry} symmetry"
-                        )
+            for a in (c0, c1, c2):
+                bad = np.abs(a - sign * np.swapaxes(a, 0, 1)) > validate_tol
+                if bad.any():
+                    j, k = np.argwhere(bad)[0][:2]
+                    raise ValueError(
+                        f"components ({j},{k}) and ({k},{j}) violate "
+                        f"{symmetry} symmetry"
+                    )
+
+    @classmethod
+    def _of(cls, c0, c1, c2, symmetry="none", validate_tol=None):
+        T = cls.__new__(cls)
+        T._set(symmetry, c0, c1, c2, validate_tol)
+        return T
+
+    @classmethod
+    def from_arrays(cls, c0, c1, c2=None, symmetry="none", validate_tol=1e-10):
+        """Field with ``T^{jk}(x) = c0[j,k] + c1[j,k] . x + x^T c2[j,k] x``;
+        ``c2`` is symmetrized over its last two axes, and the component
+        symmetry is validated as in the constructor."""
+        c0 = np.asarray(c0, dtype=float)
+        if c0.ndim != 2 or c0.shape[0] != c0.shape[1]:
+            raise DimensionError("component grid must be square")
+        m = c0.shape[0]
+        return cls._of(*_coeff_arrays(c0, c1, c2, (m, m), m), symmetry, validate_tol)
+
+    @classmethod
+    def _mirrored(cls, c0, c1, c2, symmetry):
+        """Field whose components below the diagonal are copied from those
+        above it (negated when antisymmetric, with a zero diagonal); the
+        arrays are modified in place."""
+        if symmetry != "none":
+            m = c0.shape[0]
+            low = np.tril_indices(m, -1)
+            diag = np.arange(m)
+            sgn = -1.0 if symmetry == "antisymmetric" else 1.0
+            for a in (c0, c1, c2):
+                a[low] = sgn * a[low[1], low[0]]
+                if sgn < 0:
+                    a[diag, diag] = 0.0
+        return cls._of(c0, c1, c2, symmetry)
 
     @classmethod
     def zero(cls, m, symmetry="none"):
-        return cls(
-            [[Poly(m) for _ in range(m)] for _ in range(m)], symmetry=symmetry
+        return cls._of(
+            np.zeros((m, m)), np.zeros((m, m, m)), np.zeros((m, m, m, m)), symmetry
         )
 
     def component(self, j, k):
-        return self.components[j][k]
+        return Poly._view(self.c0[j, k], self.c1[j, k], self.c2[j, k])
+
+    @property
+    def components(self):
+        return [[self.component(j, k) for k in range(self.m)] for j in range(self.m)]
 
     def __call__(self, x):
-        x = np.asarray(x, dtype=float)
-        out = np.empty((self.m, self.m))
-        for j in range(self.m):
-            for k in range(self.m):
-                out[j, k] = self.components[j][k](x)
-        return out
+        """Value ``(m, m)`` at a point ``(m,)``, or values ``(N, m, m)``
+        over points ``(N, m)``."""
+        m = self.m
+        vals = _values(
+            self.c0.reshape(m * m),
+            self.c1.reshape(m * m, m),
+            self.c2.reshape(m * m, m, m),
+            x,
+        )
+        return vals.reshape(vals.shape[:-1] + (m, m))
 
     def __add__(self, other):
         if not isinstance(other, PolyTensorField):
@@ -539,43 +685,31 @@ class PolyTensorField:
         if other.m != self.m:
             raise DimensionError("tensor fields live on different spaces")
         symmetry = self.symmetry if self.symmetry == other.symmetry else "none"
-        return PolyTensorField(
-            [
-                [self.components[j][k] + other.components[j][k] for k in range(self.m)]
-                for j in range(self.m)
-            ],
-            symmetry=symmetry,
-            validate_tol=None,
+        return PolyTensorField._of(
+            self.c0 + other.c0, self.c1 + other.c1, self.c2 + other.c2, symmetry
         )
 
     def __sub__(self, other):
         return self + other.scale(-1.0)
 
     def scale(self, s):
-        return PolyTensorField(
-            [[p.scale(s) for p in row] for row in self.components],
-            symmetry=self.symmetry,
-            validate_tol=None,
+        s = float(s)
+        return PolyTensorField._of(
+            s * self.c0, s * self.c1, s * self.c2, self.symmetry
         )
 
     def max_abs(self):
-        return max(p.max_abs() for row in self.components for p in row)
+        return float(
+            max(np.abs(a).max(initial=0.0) for a in (self.c0, self.c1, self.c2))
+        )
 
     def allclose(self, other, tol=1e-12):
         if other.m != self.m:
             return False
-        return all(
-            self.components[j][k].allclose(other.components[j][k], tol)
-            for j in range(self.m)
-            for k in range(self.m)
-        )
+        return _max_diff(self, other) <= tol
 
     def snap(self, tol):
-        return PolyTensorField(
-            [[p.snap(tol) for p in row] for row in self.components],
-            symmetry=self.symmetry,
-            validate_tol=None,
-        )
+        return PolyTensorField._of(*_snapped(self, tol), self.symmetry)
 
     def contract(self, u, v):
         """Scalar field ``T(u, v) = sum_{jk} u_j v_k T^{jk}`` for constant
@@ -584,21 +718,26 @@ class PolyTensorField:
         v = np.asarray(v, dtype=float)
         if u.shape != (self.m,) or v.shape != (self.m,):
             raise DimensionError("contraction coefficients have wrong length")
-        out = Poly(self.m)
-        for j in range(self.m):
-            if u[j] == 0.0:
-                continue
-            for k in range(self.m):
-                if v[k] == 0.0:
-                    continue
-                out = out + self.components[j][k].scale(u[j] * v[k])
-        return out
+        return Poly(
+            self.m,
+            u @ self.c0 @ v,
+            np.einsum("j,k,jkl->l", u, v, self.c1),
+            np.einsum("j,k,jklp->lp", u, v, self.c2),
+        )
 
     def to_dict(self):
+        """JSON-ready dict; the coefficients of each component are arrays."""
+        m = self.m
         return {
-            "m": self.m,
+            "m": m,
             "symmetry": self.symmetry,
-            "components": [[p.to_dict() for p in row] for row in self.components],
+            "components": [
+                [
+                    {"c0": float(self.c0[j, k]), "c1": self.c1[j, k], "c2": self.c2[j, k]}
+                    for k in range(m)
+                ]
+                for j in range(m)
+            ],
         }
 
     @classmethod
@@ -623,7 +762,7 @@ class PolyTensorField:
                 else range(self.m)
             )
             for k in krange:
-                p = self.components[j][k]
+                p = self.component(j, k)
                 if not p.is_zero(tol):
                     lines.append(f"T[{j + 1},{k + 1}] = {p.pretty(names, tol)}")
         return "\n".join(lines) if lines else "T = 0"

@@ -60,33 +60,23 @@ def poisson_field(basis):
     Components are linear; the constant part vanishes because the Lie
     product of traceless observables is traceless.
     """
-    m = basis.m
     c = basis.lie_constants
-    comps = []
-    for j in range(m):
-        row = []
-        for k in range(m):
-            row.append(Poly(m, c0=c[j + 1, k + 1, 0], c1=c[j + 1, k + 1, 1:]))
-        comps.append(row)
-    return PolyTensorField(comps, symmetry="antisymmetric")
+    return PolyTensorField.from_arrays(
+        c[1:, 1:, 0], c[1:, 1:, 1:], symmetry="antisymmetric"
+    )
 
 
 def symmetric_field(basis):
     """Symmetric field ``R^{jk}(x) = d_jk^0 + sum_l d_jk^l x_l - x_j x_k``."""
     m = basis.m
     d = basis.jordan_constants
-    comps = []
-    for j in range(m):
-        row = []
-        for k in range(m):
-            c2 = np.zeros((m, m))
-            c2[j, k] -= 0.5
-            c2[k, j] -= 0.5
-            row.append(
-                Poly(m, c0=d[j + 1, k + 1, 0], c1=d[j + 1, k + 1, 1:], c2=c2)
-            )
-        comps.append(row)
-    return PolyTensorField(comps, symmetry="symmetric")
+    j, k = np.meshgrid(np.arange(m), np.arange(m), indexing="ij")
+    c2 = np.zeros((m, m, m, m))
+    c2[j, k, j, k] -= 0.5
+    c2[j, k, k, j] -= 0.5
+    return PolyTensorField.from_arrays(
+        d[1:, 1:, 0], d[1:, 1:, 1:], c2, symmetry="symmetric"
+    )
 
 
 def expectation_poly(basis, a):
@@ -129,11 +119,10 @@ def hamiltonian_vf(basis, a):
     and every rank stratum.
     """
     v = _traceless_of(basis, a)
-    m = basis.m
     c = basis.lie_constants
     # A[k, l] = sum_j a^j c[j, k, l]  so that X^k = A[k, :] . x
     A = np.einsum("j,jkl->kl", v[1:], c[1:, 1:, 1:])
-    return PolyVectorField([Poly(m, c1=A[k]) for k in range(m)])
+    return PolyVectorField.from_arrays(np.zeros(basis.m), A)
 
 
 def gradient_vf(basis, a):
@@ -144,17 +133,21 @@ def gradient_vf(basis, a):
     scalar contributions cancel between the d-term and the rank-one term).
     """
     v = _traceless_of(basis, a)
-    m = basis.m
     d = basis.jordan_constants
     const = np.einsum("j,jk->k", v[1:], d[1:, 1:, 0])
     lin = np.einsum("j,jkl->kl", v[1:], d[1:, 1:, 1:])
-    comps = []
-    for k in range(m):
-        c2 = np.zeros((m, m))
-        c2[k, :] -= 0.5 * v[1:]
-        c2[:, k] -= 0.5 * v[1:]
-        comps.append(Poly(m, c0=const[k], c1=lin[k], c2=c2))
-    return PolyVectorField(comps)
+    return PolyVectorField.from_arrays(const, lin, _rank_one_c2(0.5 * v[1:]))
+
+
+def _rank_one_c2(w):
+    """Quadratic parts ``c2[k]`` of the components ``-2 x_k (w . x)``,
+    built as ``c2[k, k, :] -= w`` then ``c2[k, :, k] -= w``."""
+    m = w.shape[0]
+    idx = np.arange(m)
+    c2 = np.zeros((m, m, m))
+    c2[idx, idx, :] -= w
+    c2[idx, :, idx] -= w
+    return c2
 
 
 def complex_structure_at(state, rank_rtol=1e-10):
@@ -200,9 +193,8 @@ def field_csv_rows(vf, points, names=None):
     m = vf.m
     if names is None:
         names = [f"x_{j + 1}" for j in range(m)] + [f"v_{j + 1}" for j in range(m)]
-    rows = [names]
-    for x in points:
-        x = np.asarray(x, dtype=float)
-        v = vf(x)
-        rows.append([f"{val:.17g}" for val in np.concatenate((x, v))])
-    return rows
+    X = np.asarray(points, dtype=float).reshape(-1, m)
+    fmt = "{:.17g}".format
+    return [names] + [
+        list(map(fmt, row)) for row in np.concatenate((X, vf(X)), axis=1).tolist()
+    ]

@@ -13,11 +13,16 @@ from hypothesis import given, settings, strategies as st
 from scipy.stats import qmc
 
 from geomstates import (
+    PolyTensorField,
     analyze_contraction,
     build_basis,
     lindblad_vf,
     max_bloch_radius,
     model_phase_damping,
+    model_three_level_decay,
+    poisson_field,
+    pushforward_affine,
+    symmetric_field,
 )
 from geomstates.cli import (
     DEFAULT_SEED,
@@ -274,6 +279,42 @@ class TestJsonWriter:
         with pytest.raises(TypeError):
             _json_text({"a": object()})
 
+    @pytest.mark.parametrize(
+        "arr",
+        [
+            np.array([[0.0, -0.0, 1.5]] * 4),
+            np.array([[[1.0, 2.0], [1.0, 2.0]], [[1.0, 2.0], [-0.0, 0.1]]]),
+            np.array([-0.0, 0.0, 5e-324, 1 / 3]),
+            np.zeros(0),
+            np.zeros((3, 0)),
+            np.zeros((0, 4)),
+            np.array([[1e300], [1e300]]),
+        ],
+        ids=["repeated-rows", "3d", "1d", "empty", "empty-rows", "no-rows", "column"],
+    )
+    def test_float_arrays_match_stdlib(self, arr):
+        assert _json_text(arr) == json.dumps(arr.tolist(), indent=2)
+        # the same row at two depths keeps the indentation of each
+        obj = {"a": arr, "b": [arr, {"c": arr}]}
+        plain = {"a": arr.tolist(), "b": [arr.tolist(), {"c": arr.tolist()}]}
+        assert _json_text(obj) == _stdlib(plain)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.sampled_from([0.0, -0.0, 1.0, 0.1, -2.5e-17, 1e16]),
+                    min_size=1, max_size=24),
+           st.sampled_from([(1,), (2,), (3,), (6,), (2, 3), (3, 2)]))
+    def test_arrays_with_repeated_rows_match_stdlib(self, pool, lead):
+        rng = np.random.default_rng(len(pool))
+        arr = np.array(pool)[rng.integers(len(pool), size=lead + (3,))]
+        assert _json_text({"x": arr}) == _stdlib({"x": arr.tolist()})
+
+    def test_non_finite_array_entry_raises(self):
+        arr = np.zeros((3, 4))
+        arr[2, 1] = np.nan
+        for obj in (arr, {"a": [arr]}):
+            with pytest.raises(ValueError):
+                _json_text(obj)
+
 
 # ------------------------------------------------------------- sampling
 
@@ -439,12 +480,61 @@ class TestExitCodes:
         assert "error:" in proc.stderr and "GiB" in proc.stderr
         assert "Traceback" not in proc.stderr
 
+    def test_negative_points_rejected(self, tmp_path, capsys):
+        code = main(["run", "phase-damping", "--out", str(tmp_path), "--points", "-2"])
+        assert code == 1
+        assert "error:" in capsys.readouterr().err
+        scen = tmp_path / "neg.json"
+        scen.write_text(json.dumps(
+            {"model": "phase-damping", "parameters": {"points": -4}}
+        ))
+        assert main(["run", str(scen), "--out", str(tmp_path / "f")]) == 1
+        assert "error:" in capsys.readouterr().err
+        assert not list(tmp_path.glob("**/*.csv"))
+
+    @pytest.mark.parametrize("dt", ["0", "-1"])
+    def test_nonpositive_sample_step_rejected(self, tmp_path, capsys, dt):
+        code = main(["run", "phase-damping", "--out", str(tmp_path), "--points", "5",
+                     "--dt", dt])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "error:" in err and "step" in err
+        assert not (tmp_path / "phase_damping_trajectory.csv").exists()
+
     def test_invalid_output_kind_rejected(self, tmp_path, capsys):
         scen = {"name": "bad-out", "n": 2, "model": "phase-damping", "outputs": ["nope"]}
         p = tmp_path / "bad-out.json"
         p.write_text(json.dumps(scen))
         assert main(["run", str(p), "--out", str(tmp_path)]) == 1
         assert "output" in capsys.readouterr().err
+
+
+class TestTensorFamily:
+    def test_three_level_family_needs_no_superoperator(self, tmp_path, monkeypatch):
+        import geomstates.contraction as con
+
+        calls = []
+        real = con.build_superoperator
+        monkeypatch.setattr(
+            con, "build_superoperator", lambda *a: calls.append(a) or real(*a)
+        )
+        scen = tmp_path / "fam.json"
+        scen.write_text(json.dumps({
+            "name": "fam", "model": "three-level-decay", "outputs": ["tensor-family"],
+        }))
+        run_scenario(str(scen), out_dir=str(tmp_path))
+        assert calls == []
+        fam = json.loads((tmp_path / "fam_tensor_family.json").read_text())
+        # the written family is the geometric push-forward, point by point;
+        # by t = 5 its values reach ~1e6 through the e^{3t} modes
+        Z = lindblad_vf(model_three_level_decay())
+        basis = build_basis(3)
+        y = np.array([0.1, -0.2, 0.15, 0.05, -0.1, 0.2, -0.05, 0.1])
+        for key, T in (("poisson", poisson_field(basis)), ("symmetric", symmetric_field(basis))):
+            for t, data in zip(fam["times"][::5], fam[key][::5]):
+                want = pushforward_affine(Z, T, t, y)
+                got = PolyTensorField.from_dict(data)(y)
+                assert np.abs(got - want).max() <= 1e-9 * max(1.0, np.abs(want).max())
 
 
 class TestEntryPoint:

@@ -6,6 +6,7 @@ import scipy.linalg
 
 from geomstates import (
     ContractionMismatchError,
+    DegreeOverflowError,
     LimitExistsError,
     LindbladModel,
     Poly,
@@ -22,12 +23,14 @@ from geomstates import (
     flow_family,
     flow_tensor,
     format_product_table,
+    gradient_vf,
     lie_algebra_dimensions,
     lie_derivative,
     limit_set_algebra,
     lindblad_vf,
     matches_level_algebra,
     model_bloch_field,
+    model_gisin,
     model_massive_decoherence,
     model_phase_damping,
     model_pure_decoherence,
@@ -41,6 +44,7 @@ from geomstates import (
     unflatten_field,
     verify_contracted_axioms,
 )
+from geomstates.contraction import coeff_size
 from conftest import random_hermitian
 
 SQ3 = np.sqrt(3.0)
@@ -454,3 +458,169 @@ class TestFullAnalysis:
         monkeypatch.setattr(dyn, "model_pure_decoherence", crooked)
         with pytest.raises(ContractionMismatchError):
             contract_3level_decoherence()
+
+
+# ------------------------------------------------ array-backed transport
+
+
+def _random_lindblad(n, seed):
+    """Seeded model: a traceless Hermitian H and two traceless jumps."""
+    rng = np.random.default_rng(seed)
+    H = random_hermitian(rng, n, traceless=True)
+    Vs = []
+    for _ in range(2):
+        V = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+        V -= (np.trace(V) / n) * np.eye(n)
+        Vs.append(V / np.linalg.norm(V))
+    return LindbladModel(build_basis(n), H=H / np.linalg.norm(H), V=Vs)
+
+
+def _reference_lie_derivative(Z, T, tol=1e-12):
+    """Per-component Lie derivative from tracked ``Poly`` products."""
+    m = T.m
+    scale = max(1.0, Z.max_abs() * T.max_abs())
+    zc, grid = Z.components, T.components
+    out = []
+    for j in range(m):
+        row = []
+        for k in range(m):
+            acc = Poly(m)
+            c3 = np.zeros((m, m, m))
+            for mu in range(m):
+                for a, b in (
+                    (zc[mu], grid[j][k].partial(mu)),
+                    (grid[mu][k].scale(-1.0), zc[j].partial(mu)),
+                    (grid[j][mu].scale(-1.0), zc[k].partial(mu)),
+                ):
+                    prod, over3, _ = a.multiply_tracked(b)
+                    acc = acc + prod
+                    c3 += over3
+            if np.abs(c3).max() > tol * scale:
+                raise DegreeOverflowError(f"cubic residue at ({j},{k})")
+            row.append(acc)
+        out.append(row)
+    return PolyTensorField(out, symmetry=T.symmetry, validate_tol=None)
+
+
+def _reference_unflatten(vec, m, symmetry):
+    """Per-component rebuild of a flat coefficient vector."""
+    q = coeff_size(m)
+    iu = np.triu_indices(m)
+    grid = [[Poly(m) for _ in range(m)] for _ in range(m)]
+    sgn = -1.0 if symmetry == "antisymmetric" else 1.0
+    for idx, (j, k) in enumerate(tensor_pairs(m, symmetry)):
+        v = vec[idx * q : (idx + 1) * q]
+        c2 = np.zeros((m, m))
+        c2[iu] = v[1 + m :]
+        c2 = c2 + c2.T - np.diag(np.diag(c2))
+        grid[j][k] = Poly(m, v[0], v[1 : 1 + m], c2)
+        if symmetry != "none" and k != j:
+            grid[k][j] = grid[j][k].scale(sgn)
+    return PolyTensorField(grid, symmetry=symmetry, validate_tol=None)
+
+
+class TestArrayLieDerivative:
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_matches_per_poly_reference(self, n, rng):
+        basis = build_basis(n)
+        a = basis.observable(rng.normal(size=basis.dim))
+        m = basis.m
+        cases = [
+            (lindblad_vf(_random_lindblad(n, 5)), symmetric_field(basis)),
+            (PolyVectorField.from_affine(rng.normal(size=(m, m)), rng.normal(size=m)),
+             poisson_field(basis)),
+            (gradient_vf(basis, a), poisson_field(basis)),
+            (model_gisin(basis, a), poisson_field(basis)),
+        ]
+        for Z, T in cases:
+            got = lie_derivative(Z, T)
+            want = _reference_lie_derivative(Z, T)
+            assert got.symmetry == T.symmetry
+            assert got.allclose(want, 1e-12 * max(1.0, want.max_abs()))
+
+    def test_cubic_terms_that_vanish_pass(self):
+        # Z^1 = x2^2 and T^{33} = x3^2: every cubic product is zero
+        Z = PolyVectorField.from_arrays(
+            np.zeros(3), np.zeros((3, 3)), np.einsum("k,l,p->klp", [1, 0, 0], [0, 1, 0], [0, 1, 0])
+        )
+        c2 = np.zeros((3, 3, 3, 3))
+        c2[2, 2, 2, 2] = 1.0
+        T = PolyTensorField.from_arrays(np.eye(3), np.zeros((3, 3, 3)), c2, "symmetric")
+        assert lie_derivative(Z, T).allclose(_reference_lie_derivative(Z, T), 1e-14)
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_non_cancelling_cubic_terms_raise(self, n, rng):
+        basis = build_basis(n)
+        a = basis.observable(rng.normal(size=basis.dim))
+        for Z in (gradient_vf(basis, a), model_gisin(basis, a)):
+            with pytest.raises(DegreeOverflowError):
+                _reference_lie_derivative(Z, symmetric_field(basis))
+            with pytest.raises(DegreeOverflowError):
+                lie_derivative(Z, symmetric_field(basis))
+
+
+class TestGeometricTransport:
+    """``tensor_at`` (affine substitution plus congruence) against the
+    superoperator exponential ``expm(-t M) flat0``."""
+
+    @pytest.mark.parametrize(
+        "name, n, times",
+        [
+            ("random", 2, (0.3, 1.7)),
+            ("random", 3, (0.8,)),
+            ("three-level-decay", 3, (0.5,)),
+        ],
+    )
+    def test_matches_superoperator_expm(self, name, n, times):
+        model = model_three_level_decay() if name != "random" else _random_lindblad(n, 11)
+        Z = lindblad_vf(model)
+        basis = build_basis(n)
+        for T in (poisson_field(basis), symmetric_field(basis)):
+            fam = flow_family(Z, T)
+            M = fam.superop.matrix
+            for t in times:
+                want = scipy.linalg.expm(-t * M) @ fam.flat0
+                got = fam.flat_at(t)
+                assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_unflatten_matches_per_component_rebuild(self, n, rng):
+        basis = build_basis(n)
+        m = basis.m
+        for sym in ("antisymmetric", "symmetric", "none"):
+            size = len(tensor_pairs(m, sym)) * coeff_size(m)
+            vec = rng.normal(size=size) * (rng.random(size) > 0.5)
+            vec[rng.random(size) > 0.7] = -0.0
+            got = unflatten_field(vec, m, sym)
+            want = _reference_unflatten(vec, m, sym)
+            for j in range(m):
+                for k in range(m):
+                    p, q = got.component(j, k), want.component(j, k)
+                    for x, y in ((p.c0, q.c0), (p.c1, q.c1), (p.c2, q.c2)):
+                        # equal values and equal signs of zero
+                        assert np.array_equal(np.signbit(x), np.signbit(y))
+                        assert np.array_equal(x, y)
+            assert np.array_equal(flatten_field(got), vec)
+
+    def test_transport_keeps_component_symmetry(self, basis3):
+        Z = lindblad_vf(_random_lindblad(3, 2))
+        for T in (poisson_field(basis3), symmetric_field(basis3)):
+            Tt = flow_tensor(Z, T, 0.9)
+            sgn = -1.0 if T.symmetry == "antisymmetric" else 1.0
+            assert Tt.symmetry == T.symmetry
+            assert np.array_equal(Tt.c1, sgn * Tt.c1.transpose(1, 0, 2))
+            assert np.array_equal(Tt.c2, Tt.c2.transpose(0, 1, 3, 2))
+
+    def test_family_builds_no_superoperator_until_asked(self, basis3, monkeypatch):
+        import geomstates.contraction as con
+
+        calls = []
+        real = con.build_superoperator
+        monkeypatch.setattr(
+            con, "build_superoperator", lambda *a: calls.append(a) or real(*a)
+        )
+        fam = flow_family(lindblad_vf(model_three_level_decay()), poisson_field(basis3))
+        fam.tensor_at(1.0)
+        assert calls == []
+        assert fam.superop.size == 28 * coeff_size(8)
+        assert fam.superop is fam.superop and len(calls) == 1

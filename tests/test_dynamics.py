@@ -298,6 +298,13 @@ class TestFlows:
                 purity(traj.state(i)), rel=1e-13
             )
 
+    @pytest.mark.parametrize("dt", [0.0, -1.0, float("nan")])
+    def test_nonpositive_sample_step_raises(self, basis2, dt):
+        Z = lindblad_vf(model_phase_damping(1.0))
+        state0 = state_from_coords(basis2, np.array([0.1, 0.2, 0.3]))
+        with pytest.raises(DimensionError):
+            integrate(Z, state0, 1.0, dt=dt)
+
     def test_escape_detected(self, basis2):
         Z = PolyVectorField.from_affine(np.eye(3), np.zeros(3))
         state0 = state_from_coords(basis2, np.array([0.0, 0.0, 0.999]))

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from geomstates import (
     DegreeOverflowError,
@@ -218,3 +219,105 @@ class TestPolyTensorField:
         S = PolyTensorField.from_dict(T.to_dict())
         x = rng.normal(size=m)
         assert np.allclose(S(x), T(x))
+
+
+# ----------------------------------------------------- array-backed fields
+
+
+def _random_stack(rng, lead, m, quadratic):
+    """Coefficient arrays with about a third of the entries exactly zero."""
+    def draw(shape):
+        return rng.normal(size=shape) * (rng.random(shape) > 0.3)
+
+    c2 = draw(lead + (m, m)) if quadratic else None
+    return draw(lead), draw(lead + (m,)), c2
+
+
+def _abs_values(polys, x):
+    """Sum of the absolute values of each polynomial's terms at ``x``."""
+    ax = np.abs(x)
+    return np.array([abs(p.c0) + np.abs(p.c1) @ ax + ax @ np.abs(p.c2) @ ax for p in polys])
+
+
+_FIELD_CASES = dict(
+    m=st.sampled_from([3, 8, 15]),
+    seed=st.integers(0, 2**32 - 1),
+    quadratic=st.booleans(),
+    npts=st.integers(1, 12),
+)
+
+
+class TestArrayBackedEvaluation:
+    """Batched and pointwise evaluation of the coefficient arrays against a
+    loop of independently built ``Poly`` objects."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(**_FIELD_CASES)
+    def test_vector_field_matches_per_poly_loop(self, m, seed, quadratic, npts):
+        rng = np.random.default_rng(seed)
+        c0, c1, c2 = _random_stack(rng, (m,), m, quadratic)
+        Z = PolyVectorField.from_arrays(c0, c1, c2)
+        polys = [
+            Poly(m, c0[k], c1[k], None if c2 is None else c2[k]) for k in range(m)
+        ]
+        X = rng.normal(size=(npts, m))
+        want = np.array([[p(x) for p in polys] for x in X])
+        bound = 1e-13 * np.array([_abs_values(polys, x) for x in X]) + 1e-300
+        assert np.all(np.abs(Z(X) - want) <= bound)
+        for x, w, b in zip(X, want, bound):
+            assert np.all(np.abs(Z(x) - w) <= b)
+        for view, p in zip(Z.components, polys):
+            assert view.allclose(p, 0.0)
+        assert Z.is_affine == (c2 is None or not c2.any())
+
+    @settings(max_examples=25, deadline=None)
+    @given(**_FIELD_CASES)
+    def test_tensor_field_matches_per_poly_loop(self, m, seed, quadratic, npts):
+        rng = np.random.default_rng(seed)
+        c0, c1, c2 = _random_stack(rng, (m, m), m, quadratic)
+        T = PolyTensorField.from_arrays(c0, c1, c2)
+        polys = [
+            Poly(m, c0[j, k], c1[j, k], None if c2 is None else c2[j, k])
+            for j in range(m)
+            for k in range(m)
+        ]
+        X = rng.normal(size=(npts, m))
+        want = np.array([[p(x) for p in polys] for x in X]).reshape(npts, m, m)
+        bound = 1e-13 * np.array([_abs_values(polys, x) for x in X]).reshape(
+            npts, m, m
+        ) + 1e-300
+        assert np.all(np.abs(T(X) - want) <= bound)
+        for x, w, b in zip(X, want, bound):
+            assert np.all(np.abs(T(x) - w) <= b)
+        j, k = rng.integers(m, size=2)
+        assert T.component(j, k).allclose(polys[j * m + k], 0.0)
+
+    def test_views_share_the_field_arrays(self, rng):
+        Z = PolyVectorField.from_arrays(*_random_stack(rng, (3,), 3, True))
+        assert np.shares_memory(Z.components[1].c1, Z.c1)
+        T = PolyTensorField.from_arrays(*_random_stack(rng, (3, 3), 3, True))
+        assert np.shares_memory(T.component(0, 2).c2, T.c2)
+
+    def test_from_arrays_symmetrizes_like_poly(self, rng):
+        c2 = rng.normal(size=(2, 2, 2))
+        Z = PolyVectorField.from_arrays(np.zeros(2), np.zeros((2, 2)), c2)
+        for k in range(2):
+            assert np.array_equal(Z.c2[k], Poly(2, c2=c2[k]).c2)
+
+    def test_bad_point_shapes_raise(self, rng):
+        Z = PolyVectorField.from_arrays(*_random_stack(rng, (3,), 3, True))
+        T = PolyTensorField.from_arrays(*_random_stack(rng, (3, 3), 3, False))
+        for bad in (np.zeros(4), np.zeros((2, 4)), np.zeros((2, 2, 3))):
+            with pytest.raises(DimensionError):
+                Z(bad)
+            with pytest.raises(DimensionError):
+                T(bad)
+
+    def test_symmetry_validated_on_arrays(self, rng):
+        c0, c1, _ = _random_stack(rng, (3, 3), 3, False)
+        with pytest.raises(ValueError):
+            PolyTensorField.from_arrays(c0, c1, symmetry="antisymmetric")
+        anti = PolyTensorField.from_arrays(
+            c0 - c0.T, c1 - c1.transpose(1, 0, 2), symmetry="antisymmetric"
+        )
+        assert anti.component(1, 0).allclose(anti.component(0, 1).scale(-1.0), 0.0)
