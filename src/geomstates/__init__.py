@@ -53,6 +53,7 @@ from .algebra import (
     Observable,
     ObservableBasis,
     associative_product,
+    axiom_residuals,
     build_basis,
     jordan_product,
     jordan_product_coeffs,
@@ -173,6 +174,7 @@ __all__ = [
     "analyze_contraction",
     "associative_product",
     "asymptotic_limit",
+    "axiom_residuals",
     "build_basis",
     "build_superoperator",
     "complex_structure_at",
@@ -231,5 +233,6 @@ __all__ = [
     "variance",
     "verify_contracted_axioms",
     "verify_lie_jordan_axioms",
+    "vf_from_linear_map",
     "__version__",
 ]

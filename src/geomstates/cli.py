@@ -58,6 +58,7 @@ import sys
 from dataclasses import asdict, dataclass, field as dc_field
 from json.encoder import encode_basestring_ascii
 from math import isfinite
+from numbers import Real
 from operator import itemgetter
 from pathlib import Path
 
@@ -104,6 +105,19 @@ _DEFAULT_PARAMS = {
     "slice": None,
     "d": 3,
     "seed": DEFAULT_SEED,
+}
+
+# scenario-file parameter -> (number type, holds a list of them, may be null)
+_PARAM_TYPES = {
+    "gamma": (float, False, False),
+    "B": (float, True, False),
+    "t_end": (float, False, False),
+    "dt": (float, False, True),
+    "x0": (float, True, True),
+    "points": (int, False, False),
+    "slice": (int, True, True),
+    "d": (int, False, False),
+    "seed": (int, False, False),
 }
 
 _DEFAULT_X0 = {
@@ -382,10 +396,6 @@ def _array_text(a, pad, cache):
     return text
 
 
-def _grid_json(grid):
-    return [[p.to_dict() for p in row] for row in grid]
-
-
 def _analysis_json(ana):
     eigs = sorted(
         ([float(ev.real), float(ev.imag)] for ev in np.atleast_1d(ana.eigenvalues)),
@@ -432,8 +442,8 @@ def _limit_set_json(lsa):
     out = {
         "point": lsa.point.tolist(),
         "free_coordinates": names,
-        "poisson": _grid_json(lsa.poisson),
-        "jordan": _grid_json(lsa.jordan),
+        "poisson": lsa.poisson.to_dict()["components"],
+        "jordan": lsa.jordan.to_dict()["components"],
         "closed": bool(lsa.closed),
     }
     k = len(lsa.free_indices)
@@ -464,8 +474,8 @@ def report_json(report, model_name):
     }
     if report.tables is not None:
         out["tables"] = {
-            "poisson": _grid_json(report.tables.poisson),
-            "jordan": _grid_json(report.tables.jordan),
+            "poisson": report.tables.poisson.to_dict()["components"],
+            "jordan": report.tables.jordan.to_dict()["components"],
             "linear": bool(report.tables.linear),
         }
     else:
@@ -519,6 +529,36 @@ def _slug(name):
 # ------------------------------------------------------------ scenario files
 
 
+def _is_number(v, kind=float):
+    """Whether ``v`` is a finite real number (not a boolean, although
+    ``bool`` is an ``int``); for ``kind`` int, an integral one."""
+    return (
+        isinstance(v, Real)
+        and not isinstance(v, bool)
+        and isfinite(v)
+        and (kind is float or float(v).is_integer())
+    )
+
+
+def _check_param(key, value):
+    kind, is_list, nullable = _PARAM_TYPES[key]
+    if value is None and nullable:
+        return
+    noun = "integer" if kind is int else "finite number"
+    if is_list:
+        ok = isinstance(value, (list, tuple)) and all(
+            _is_number(v, kind) for v in value
+        )
+        what = f"a list of {noun}s"
+    else:
+        ok = _is_number(value, kind)
+        what = f"an {noun}" if kind is int else f"a {noun}"
+    if not ok:
+        raise InvariantViolationError(
+            f"parameter {key!r} must be {what}, got {value!r}"
+        )
+
+
 def _parse_matrix(obj, what):
     if not isinstance(obj, list) or not obj or not all(
         isinstance(r, list) for r in obj
@@ -529,12 +569,13 @@ def _parse_matrix(obj, what):
         out = []
         for v in row:
             if isinstance(v, list):
-                if len(v) != 2:
+                if len(v) != 2 or not all(map(_is_number, v)):
                     raise InvariantViolationError(
-                        f"{what}: complex entries are [re, im] pairs"
+                        f"{what}: complex entries are [re, im] pairs of numbers, "
+                        f"got {v!r}"
                     )
                 out.append(complex(float(v[0]), float(v[1])))
-            elif isinstance(v, (int, float)):
+            elif _is_number(v):
                 out.append(complex(float(v), 0.0))
             else:
                 raise InvariantViolationError(f"{what}: bad matrix entry {v!r}")
@@ -556,6 +597,7 @@ def setup_from_scenario(data, params, default_name):
     for key, value in file_params.items():
         if key not in _DEFAULT_PARAMS:
             raise InvariantViolationError(f"unknown parameter {key!r}")
+        _check_param(key, value)
         # explicit CLI flags win over scenario-file values
         if params.get("_explicit", {}).get(key, False):
             continue
@@ -571,9 +613,15 @@ def setup_from_scenario(data, params, default_name):
                 + ", ".join(REGISTRY)
             )
         setup = _builtin_setup(model, merged)
+    elif not isinstance(model, dict):
+        raise InvariantViolationError(
+            "'model' must be a builtin name or an object of H and V matrices"
+        )
     else:
         H = model.get("H")
         Vs = model.get("V", [])
+        if not isinstance(Vs, list):
+            raise InvariantViolationError("'V' must be a list of matrices")
         Hm = None if H is None else _parse_matrix(H, "H")
         Vms = [_parse_matrix(V, f"V[{i}]") for i, V in enumerate(Vs)]
         sizes = {M.shape[0] for M in ([Hm] if Hm is not None else []) + Vms}
@@ -582,9 +630,9 @@ def setup_from_scenario(data, params, default_name):
         if len(sizes) != 1:
             raise InvariantViolationError("H and V matrices disagree in size")
         n = sizes.pop()
-        if "n" in data and int(data["n"]) != n:
+        if "n" in data and (not _is_number(data["n"], int) or int(data["n"]) != n):
             raise InvariantViolationError(
-                f"scenario says n={data['n']} but matrices are {n}x{n}"
+                f"scenario says n={data['n']!r} but matrices are {n}x{n}"
             )
         basis = build_basis(n)
         Z = lindblad_vf(LindbladModel(basis, H=Hm, V=Vms))
@@ -595,6 +643,10 @@ def setup_from_scenario(data, params, default_name):
     setup.name = str(name)
     outputs = data.get("outputs")
     if outputs is not None:
+        if not isinstance(outputs, list):
+            raise InvariantViolationError(
+                f"'outputs' must be a list of output kinds, got {outputs!r}"
+            )
         outputs = tuple(outputs)
         bad = [o for o in outputs if o not in OUTPUT_KINDS]
         if bad:
@@ -669,6 +721,7 @@ def run_scenario(target, out_dir="geomstates-out", params=None, report=False):
                 continue
             if key not in _DEFAULT_PARAMS:
                 raise InvariantViolationError(f"unknown parameter {key!r}")
+            _check_param(key, value)
             merged[key] = value
 
     path = Path(target)

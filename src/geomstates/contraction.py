@@ -41,7 +41,7 @@ stationary limit set by restricting the static products to it.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
@@ -50,13 +50,11 @@ from scipy.linalg import get_lapack_funcs
 from .algebra import axiom_residuals, build_basis
 from .errors import (
     ContractionMismatchError,
-    DegreeOverflowError,
     DimensionError,
     InvariantViolationError,
     LimitExistsError,
 )
-from .poly import Poly, PolyTensorField, _sym2, _sym3
-from .states import StateCoordinates
+from .poly import PolyTensorField, _check_cubic, _compose_affine, _sym2
 from .tensors import poisson_field, symmetric_field
 from .dynamics import affine_flow_map, stationary_points
 
@@ -92,7 +90,8 @@ __all__ = [
 
 
 def lie_derivative(Z, T, tol=1e-12):
-    """Lie derivative of a tensor field along a vector field.
+    """Lie derivative of a tensor field, or of a stack of them, along a
+    vector field.
 
     Exact on polynomial coefficients.  For affine ``Z`` the result is again
     of degree <= 2; quadratic ``Z`` is accepted only when all cubic terms
@@ -103,36 +102,39 @@ def lie_derivative(Z, T, tol=1e-12):
         raise DimensionError("field and tensor live on different spaces")
     z0, z1, z2 = Z.c0, Z.c1, Z.c2
     t0, t1, t2 = T.c0, T.c1, T.c2
-    # Z^u d_u T^{jk}, with d_u T^{jk} = t1[j,k,u] + 2 t2[j,k,u,l] x_l
-    c0 = np.einsum("u,jku->jk", z0, t1)
-    c1 = np.einsum("ul,jku->jkl", z1, t1) + 2.0 * np.einsum("u,jkul->jkl", z0, t2)
-    c2 = 2.0 * np.einsum("ul,jkup->jklp", z1, t2) + np.einsum("ulp,jku->jklp", z2, t1)
-    # - T^{uk} d_u Z^j - T^{ju} d_u Z^k, with d_u Z^j = z1[j,u] + 2 z2[j,u,l] x_l
-    c0 -= np.einsum("ju,uk->jk", z1, t0) + np.einsum("ju,ku->jk", t0, z1)
-    c1 -= (
-        np.einsum("ju,ukl->jkl", z1, t1)
-        + 2.0 * np.einsum("jul,uk->jkl", z2, t0)
-        + np.einsum("jul,ku->jkl", t1, z1)
-        + 2.0 * np.einsum("ju,kul->jkl", t0, z2)
-    )
-    c2 -= (
-        np.einsum("ju,uklp->jklp", z1, t2)
-        + 2.0 * np.einsum("jul,ukp->jklp", z2, t1)
-        + np.einsum("julp,ku->jklp", t2, z1)
-        + 2.0 * np.einsum("jul,kup->jklp", t1, z2)
-    )
-    if z2.any() and t2.any():
-        c3 = 2.0 * (
-            np.einsum("ulp,jkuq->jklpq", z2, t2)
-            - np.einsum("jul,ukpq->jklpq", z2, t2)
-            - np.einsum("julp,kuq->jklpq", t2, z2)
-        )
-        over = float(np.abs(_sym3(c3)).max(initial=0.0))
-        if over > tol * max(1.0, Z.max_abs() * T.max_abs()):
-            raise DegreeOverflowError(
-                f"Lie derivative has non-cancelling cubic terms of size {over:.3e}"
+    # Z^u d_u T^{jk}, with d_u T^{jk} = t1[j,k,u] + 2 t2[j,k,u,l] x_l, less
+    # T^{uk} d_u Z^j + T^{ju} d_u Z^k, with d_u Z^j = z1[j,u] + 2 z2[j,u,l] x_l;
+    # each quadratic term is symmetrized over (l, p) on its own
+    c0 = np.einsum("u,...jku->...jk", z0, t1)
+    c0 -= np.einsum("ju,...uk->...jk", z1, t0)
+    c0 -= np.einsum("...ju,ku->...jk", t0, z1)
+    c1 = np.einsum("ul,...jku->...jkl", z1, t1)
+    c1 += 2.0 * np.einsum("u,...jkul->...jkl", z0, t2)
+    c1 -= np.einsum("ju,...ukl->...jkl", z1, t1)
+    c1 -= np.einsum("...jul,ku->...jkl", t1, z1)
+    c2 = np.einsum("ul,...jkup->...jklp", z1, t2)
+    c2 = c2 + np.swapaxes(c2, -1, -2)
+    c2 -= np.einsum("ju,...uklp->...jklp", z1, t2)
+    c2 -= np.einsum("...julp,ku->...jklp", t2, z1)
+    if z2.any():
+        c1 -= 2.0 * np.einsum("jul,...uk->...jkl", z2, t0)
+        c1 -= 2.0 * np.einsum("...ju,kul->...jkl", t0, z2)
+        c2 += np.einsum("ulp,...jku->...jklp", z2, t1)
+        cross = np.einsum("jul,...ukp->...jklp", z2, t1)
+        cross += np.einsum("...jul,kup->...jklp", t1, z2)
+        c2 -= cross + np.swapaxes(cross, -1, -2)
+        if t2.any():
+            _check_cubic(
+                2.0 * (
+                    np.einsum("ulp,...jkuq->...jklpq", z2, t2)
+                    - np.einsum("jul,...ukpq->...jklpq", z2, t2)
+                    - np.einsum("...julp,kuq->...jklpq", t2, z2)
+                ),
+                Z.max_abs() * T.max_abs(),
+                tol,
+                "Lie derivative",
             )
-    return PolyTensorField.from_arrays(c0, c1, c2, T.symmetry, validate_tol=None)
+    return PolyTensorField._of(c0, c1, c2, T.symmetry)
 
 
 # ------------------------------------------------------------------ flattening
@@ -164,35 +166,44 @@ def _pair_index(m, symmetry):
 
 def flatten_field(T):
     """Stack the canonical components' coefficient vectors (pair-major):
-    ``c0``, then ``c1``, then the upper triangle of ``c2``, row by row."""
+    ``c0``, then ``c1``, then the upper triangle of ``c2``, row by row.  A
+    stack of fields gives one row per field."""
     pj, pk = _pair_index(T.m, T.symmetry)
     iu = np.triu_indices(T.m)
-    return np.concatenate(
-        [T.c0[pj, pk][:, None], T.c1[pj, pk], T.c2[pj, pk][:, iu[0], iu[1]]], axis=1
-    ).ravel()
+    flat = np.concatenate(
+        [
+            T.c0[..., pj, pk, None],
+            T.c1[..., pj, pk, :],
+            T.c2[..., pj, pk, :, :][..., iu[0], iu[1]],
+        ],
+        axis=-1,
+    )
+    return flat.reshape(flat.shape[:-2] + (-1,))
 
 
 def unflatten_field(vec, m, symmetry):
     """Inverse of :func:`flatten_field`; the components below the diagonal
-    are the mirrored canonical ones (negated when antisymmetric)."""
+    are the mirrored canonical ones (negated when antisymmetric).  Rows of
+    a 2-D ``vec`` give a stack of fields."""
     pj, pk = _pair_index(m, symmetry)
     q = coeff_size(m)
     vec = np.asarray(vec, dtype=float)
-    if vec.shape != (pj.size * q,):
+    if vec.ndim not in (1, 2) or vec.shape[-1] != pj.size * q:
         raise DimensionError(
             f"flat vector must have length {pj.size * q}, got {vec.shape}"
         )
-    V = vec.reshape(pj.size, q)
-    c0 = np.zeros((m, m))
-    c1 = np.zeros((m, m, m))
-    c2 = np.zeros((m, m, m, m))
-    c0[pj, pk] = V[:, 0]
-    c1[pj, pk] = V[:, 1 : 1 + m]
+    lead = vec.shape[:-1]
+    V = vec.reshape(lead + (pj.size, q))
+    c0 = np.zeros(lead + (m, m))
+    c1 = np.zeros(lead + (m, m, m))
+    c2 = np.zeros(lead + (m, m, m, m))
+    c0[..., pj, pk] = V[..., 0]
+    c1[..., pj, pk, :] = V[..., 1 : 1 + m]
     # "+ 0.0": a quadratic part rebuilt from its triangle has no negative zeros
-    tri = V[:, 1 + m :] + 0.0
+    tri = V[..., 1 + m :] + 0.0
     iu = np.triu_indices(m)
-    c2[pj[:, None], pk[:, None], iu[0], iu[1]] = tri
-    c2[pj[:, None], pk[:, None], iu[1], iu[0]] = tri
+    c2[..., pj[:, None], pk[:, None], iu[0], iu[1]] = tri
+    c2[..., pj[:, None], pk[:, None], iu[1], iu[0]] = tri
     return PolyTensorField._mirrored(c0, c1, c2, symmetry)
 
 
@@ -227,16 +238,10 @@ class LieDerivativeSuperoperator:
     m: int
     symmetry: str
     matrix: np.ndarray
-    alpha: np.ndarray
-    beta: np.ndarray
 
     @property
     def size(self):
         return self.matrix.shape[0]
-
-    @property
-    def pairs(self):
-        return tensor_pairs(self.m, self.symmetry)
 
     def is_diagonal(self):
         return not np.any(self.matrix - np.diag(np.diag(self.matrix)))
@@ -263,70 +268,47 @@ def _check_memory(nbytes, what):
 def build_superoperator(Z, symmetry):
     """Lie-derivative matrix of an affine field on one symmetry sector.
 
-    Built column-by-column (batched) from the action on coefficient basis
-    tensors; requires ``Z`` affine, since only then does the Lie derivative
-    preserve the degree-<=2 coefficient space with no cancellation caveats.
-    Raises :class:`InvariantViolationError` before allocating when the dense
-    matrix and the batched basis tensors would not fit in memory.
+    Column ``b`` is the flattened Lie derivative of the ``b``-th coefficient
+    basis tensor; all columns come from one :func:`lie_derivative` call on
+    the stack of basis tensors.  Requires ``Z`` affine, since only then does
+    the Lie derivative preserve the degree-<=2 coefficient space with no
+    cancellation caveats.  Raises :class:`InvariantViolationError` before
+    allocating when the dense matrix, the basis stack, its image and one
+    temporary of their size would not fit in memory.
     """
+    _affine_parts(Z)
     m = Z.m
-    alpha, beta = _affine_parts(Z)
-    pairs = tensor_pairs(m, symmetry)
-    q = coeff_size(m)
-    P = len(pairs)
-    B = P * q
-    sgn = -1.0 if symmetry == "antisymmetric" else 1.0
-    iu = np.triu_indices(m)
-    n_tri = iu[0].size
+    B = len(tensor_pairs(m, symmetry)) * coeff_size(m)
     _check_memory(
-        8 * (B * B + 2 * B * (m**2 + m**3 + m**4)),  # M, T0..T2, U0..U2
+        8 * (B * B + 3 * B * (m**2 + m**3 + m**4)),
         f"the {symmetry} tensor-flow superoperator at m={m}",
     )
-
-    T0 = np.zeros((B, m, m))
-    T1 = np.zeros((B, m, m, m))
-    T2 = np.zeros((B, m, m, m, m))
-    for pidx, (j, k) in enumerate(pairs):
-        base = pidx * q
-        T0[base, j, k] = 1.0
-        if k != j:
-            T0[base, k, j] = sgn
-        for l in range(m):
-            T1[base + 1 + l, j, k, l] = 1.0
-            if k != j:
-                T1[base + 1 + l, k, j, l] = sgn
-        for t in range(n_tri):
-            l, p = iu[0][t], iu[1][t]
-            b = base + 1 + m + t
-            T2[b, j, k, l, p] = 1.0
-            T2[b, j, k, p, l] = 1.0
-            if k != j:
-                T2[b, k, j, l, p] = sgn
-                T2[b, k, j, p, l] = sgn
-
-    U0 = np.einsum("l,bjkl->bjk", beta, T1)
-    U0 -= np.einsum("jm,bmk->bjk", alpha, T0)
-    U0 -= np.einsum("km,bjm->bjk", alpha, T0)
-
-    U1 = np.einsum("ml,bjkm->bjkl", alpha, T1)
-    U1 += 2.0 * np.einsum("bjklp,p->bjkl", T2, beta)
-    U1 -= np.einsum("jm,bmkl->bjkl", alpha, T1)
-    U1 -= np.einsum("km,bjml->bjkl", alpha, T1)
-
-    U2 = np.einsum("ml,bjkmp->bjklp", alpha, T2)
-    U2 += np.einsum("mp,bjklm->bjklp", alpha, T2)
-    U2 -= np.einsum("jm,bmklp->bjklp", alpha, T2)
-    U2 -= np.einsum("km,bjmlp->bjklp", alpha, T2)
-
-    pj = np.array([j for j, _ in pairs])
-    pk = np.array([k for _, k in pairs])
-    M0 = U0[:, pj, pk][:, :, None]
-    M1 = U1[:, pj, pk, :]
-    M2 = U2[:, pj, pk][:, :, iu[0], iu[1]]
-    M = np.concatenate([M0, M1, M2], axis=2).reshape(B, B).T
+    M = flatten_field(lie_derivative(Z, _basis_stack(m, symmetry))).T
     return LieDerivativeSuperoperator(
-        m=m, symmetry=symmetry, matrix=np.ascontiguousarray(M), alpha=alpha, beta=beta
+        m=m, symmetry=symmetry, matrix=np.ascontiguousarray(M)
     )
+
+
+def _basis_stack(m, symmetry):
+    """The stack of tensor fields whose ``b``-th item has the flat
+    coefficient vector ``e_b`` (see :func:`unflatten_field`), written
+    directly: one scatter per coefficient kind, then the mirror."""
+    pj, pk = _pair_index(m, symmetry)
+    q = coeff_size(m)
+    B = pj.size * q
+    base = np.arange(pj.size) * q  # flat index of each pair's c0
+    j, k = pj[:, None], pk[:, None]
+    ls = np.arange(m)
+    iu = np.triu_indices(m)
+    tri = base[:, None] + 1 + m + np.arange(iu[0].size)
+    c0 = np.zeros((B, m, m))
+    c1 = np.zeros((B, m, m, m))
+    c2 = np.zeros((B, m, m, m, m))
+    c0[base, pj, pk] = 1.0
+    c1[base[:, None] + 1 + ls, j, k, ls] = 1.0
+    c2[tri, j, k, iu[0], iu[1]] = 1.0
+    c2[tri, j, k, iu[1], iu[0]] = 1.0
+    return PolyTensorField._mirrored(c0, c1, c2, symmetry)
 
 
 def _affine_parts(Z):
@@ -376,10 +358,7 @@ class TensorFlowFamily:
         G, g = affine_flow_map(A, b, -t)
         T = self.initial
         # T o Phi_{-t}: substitute x = G y + g in every component
-        c2g = T.c2 @ g
-        c0 = T.c0 + T.c1 @ g + c2g @ g
-        c1 = (T.c1 + 2.0 * c2g) @ G
-        c2 = G.T @ T.c2 @ G
+        c0, c1, c2 = _compose_affine(T.c0, T.c1, T.c2, G, g)
         return PolyTensorField._mirrored(
             _congruence(E, c0),
             _congruence(E, c1),
@@ -773,65 +752,60 @@ def asymptotic_limit(fam, zero_tol=1e-8, proj_tol=1e-9):
 
 @dataclass
 class ContractedTables:
-    """Product tables of a contracted Lie-Jordan pair.
+    """Product tables of a contracted Lie-Jordan pair, as tensor fields.
 
-    ``poisson[j][k]`` is the limit bracket ``{x_j, x_k}_inf`` and
-    ``jordan[j][k]`` the limit product ``(x_j, x_k)_inf`` (the limit
-    symmetric tensor plus ``x_j x_k``), as polynomials.  When every entry
-    is affine (the structure constants of a bona fide algebra on the
-    coordinate functions), ``linear`` is True and the full structure
-    constant arrays over the unit-extended basis are provided.
+    ``poisson`` is the limit Poisson tensor, whose component ``(j, k)`` is
+    the limit bracket ``{x_j, x_k}_inf``; ``jordan`` is the limit symmetric
+    tensor plus ``x_j x_k``, whose component ``(j, k)`` is the limit product
+    ``(x_j, x_k)_inf``.  When every component is affine (the structure
+    constants of a bona fide algebra on the coordinate functions),
+    ``linear`` is True and the full structure constant arrays over the
+    unit-extended basis are provided.
     """
 
     m: int
-    poisson: list
-    jordan: list
+    poisson: PolyTensorField
+    jordan: PolyTensorField
     linear: bool
     c_full: np.ndarray | None
     d_full: np.ndarray | None
+
+
+def _coordinate_products(m):
+    """The symmetric tensor field ``x_j x_k``."""
+    c2 = _sym2(np.einsum("jl,kp->jklp", np.eye(m), np.eye(m)))
+    return PolyTensorField._of(np.zeros((m, m)), np.zeros((m, m, m)), c2, "symmetric")
+
+
+def _is_affine(*fields, tol):
+    return max(np.abs(T.c2).max(initial=0.0) for T in fields) <= tol
 
 
 def extract_contracted_products(lam_limit, r_limit, quad_tol=1e-9):
     m = lam_limit.m
     if r_limit.m != m:
         raise DimensionError("limit tensors live on different spaces")
-    poisson = [[lam_limit.component(j, k).copy() for k in range(m)] for j in range(m)]
-    jordan = []
-    for j in range(m):
-        row = []
-        for k in range(m):
-            c2 = np.zeros((m, m))
-            c2[j, k] += 0.5
-            c2[k, j] += 0.5
-            row.append(r_limit.component(j, k) + Poly(m, c2=c2))
-        jordan.append(row)
-    linear = all(
-        p.max_abs_quadratic() <= quad_tol
-        for grid in (poisson, jordan)
-        for rw in grid
-        for p in rw
-    )
-    c_full, d_full = _unit_extended(poisson, jordan) if linear else (None, None)
+    jordan = r_limit + _coordinate_products(m)
+    linear = _is_affine(lam_limit, jordan, tol=quad_tol)
+    c_full, d_full = _unit_extended(lam_limit, jordan) if linear else (None, None)
     return ContractedTables(
-        m=m, poisson=poisson, jordan=jordan, linear=linear, c_full=c_full, d_full=d_full
+        m=m, poisson=lam_limit, jordan=jordan, linear=linear, c_full=c_full, d_full=d_full
     )
 
 
 def _unit_extended(poisson, jordan):
     """Structure constants ``(c, d)`` of affine product tables over the basis
     ``(1, x_1, ..., x_k)``, with ``1`` the unit of the Jordan product."""
-    k = len(poisson)
+    k = poisson.m
     c = np.zeros((k + 1, k + 1, k + 1))
     d = np.zeros((k + 1, k + 1, k + 1))
     unit = np.arange(k + 1)
     d[0, unit, unit] = 1.0
     d[unit, 0, unit] = 1.0
-    for a in range(k):
-        for b in range(k):
-            c[a + 1, b + 1, 0] = poisson[a][b].c0
-            c[a + 1, b + 1, 1:] = poisson[a][b].c1
-            d[a + 1, b + 1, 0] = jordan[a][b].c0
-            d[a + 1, b + 1, 1:] = jordan[a][b].c1
+    c[1:, 1:, 0] = poisson.c0
+    c[1:, 1:, 1:] = poisson.c1
+    d[1:, 1:, 0] = jordan.c0
+    d[1:, 1:, 1:] = jordan.c1
     return c, d
 
 
@@ -861,13 +835,18 @@ def lie_algebra_dimensions(c_full):
 @dataclass
 class LimitSetAlgebra:
     """Lie-Jordan structure of the static products restricted to the
-    stationary affine set of the flow."""
+    stationary affine set of the flow.
+
+    ``poisson`` and ``jordan`` are tensor fields in the free coordinates
+    (ordered as ``free_indices``): the static Poisson tensor and ``R`` plus
+    ``x_j x_k``, with the pinned coordinates set to ``point``.
+    """
 
     point: np.ndarray
     free_indices: list
     directions: np.ndarray
-    poisson: list
-    jordan: list
+    poisson: PolyTensorField
+    jordan: PolyTensorField
     closed: bool
     c_red: np.ndarray | None
     d_red: np.ndarray | None
@@ -905,24 +884,19 @@ def limit_set_algebra(Z, basis, verdict=None, closure_tol=1e-9):
     D = st.directions
     m = basis.m
     free = [j for j in range(m) if D.shape[1] and np.abs(D[j]).max() > 1e-9]
-    lam = poisson_field(basis)
-    rfield = symmetric_field(basis)
-    k = len(free)
-    poisson = [[None] * k for _ in range(k)]
-    jordan = [[None] * k for _ in range(k)]
-    closed = True
-    xj_poly = {}
-    for a in range(k):
-        for bidx in range(k):
-            j, l = free[a], free[bidx]
-            pj = lam.component(j, l).restrict(free, x0)
-            ea = Poly.coordinate(m, j)
-            eb = Poly.coordinate(m, l)
-            jq = (rfield.component(j, l) + ea.multiply(eb)).restrict(free, x0)
-            poisson[a][bidx] = pj
-            jordan[a][bidx] = jq
-            if pj.max_abs_quadratic() > closure_tol or jq.max_abs_quadratic() > closure_tol:
-                closed = False
+    # x = G y + g: the free coordinates y, the others pinned to x0
+    G = np.eye(m)[:, free]
+    g = x0.copy()
+    g[free] = 0.0
+    sel = np.ix_(free, free)
+
+    def restrict(T):
+        c0, c1, c2 = _compose_affine(T.c0[sel], T.c1[sel], T.c2[sel], G, g)
+        return PolyTensorField._of(c0, c1, c2, T.symmetry)
+
+    poisson = restrict(poisson_field(basis))
+    jordan = restrict(symmetric_field(basis) + _coordinate_products(m))
+    closed = _is_affine(poisson, jordan, tol=closure_tol)
     c_red, d_red = _unit_extended(poisson, jordan) if closed else (None, None)
     return LimitSetAlgebra(
         point=x0,
@@ -1041,15 +1015,10 @@ def contract_3level_decoherence(zero_tol=1e-8, proj_tol=1e-9, match_tol=1e-8):
         raise ContractionMismatchError(
             f"expected both models to converge, got {rm.verdict} / {rp.verdict}"
         )
-    worst = 0.0
-    for j in range(basis.m):
-        for k in range(basis.m):
-            for grid_m, grid_p in (
-                (rm.tables.poisson, rp.tables.poisson),
-                (rm.tables.jordan, rp.tables.jordan),
-            ):
-                diff = grid_m[j][k] - grid_p[j][k]
-                worst = max(worst, diff.max_abs())
+    worst = max(
+        (rm.tables.poisson - rp.tables.poisson).max_abs(),
+        (rm.tables.jordan - rp.tables.jordan).max_abs(),
+    )
     if worst > match_tol:
         raise ContractionMismatchError(
             f"contracted tables of the two models differ by {worst:.3e} "
@@ -1066,12 +1035,12 @@ def format_product_table(tables, names=None, tol=1e-9):
     lines = []
     for j in range(m):
         for k in range(j + 1, m):
-            p = tables.poisson[j][k]
+            p = tables.poisson.component(j, k)
             if not p.is_zero(tol):
                 lines.append(f"{{{names[j]},{names[k]}}} = {p.pretty(names, tol)}")
     for j in range(m):
         for k in range(j, m):
-            p = tables.jordan[j][k]
+            p = tables.jordan.component(j, k)
             if not p.is_zero(tol):
                 lines.append(f"({names[j]},{names[k]}) = {p.pretty(names, tol)}")
     return lines

@@ -36,7 +36,6 @@ from .errors import (
     IntegrationDivergedError,
     InvariantViolationError,
     NonHermitianError,
-    NotAStateError,
 )
 from .poly import PolyVectorField
 from .states import (

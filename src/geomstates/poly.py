@@ -57,6 +57,26 @@ def _sym3(t):
     ) / 6.0
 
 
+def _check_cubic(c3, scale, tol, what):
+    """Raise :class:`DegreeOverflowError` unless the cubic coefficients
+    ``c3``, symmetrized over their last three axes, stay within
+    ``tol * max(1, scale)``."""
+    over = float(np.abs(_sym3(c3)).max(initial=0.0))
+    if over > tol * max(1.0, scale):
+        raise DegreeOverflowError(
+            f"{what} has non-cancelling cubic terms of size {over:.3e}"
+        )
+
+
+def _compose_affine(c0, c1, c2, G, g):
+    """Coefficients of the stacked polynomials ``p(G y + g)`` from those of
+    ``p(x)``: ``c0 (...)``, ``c1 (..., m)`` and ``c2 (..., m, m)``, with
+    ``G (m, k)`` and ``g (m,)``.  The new quadratic part ``G^T c2 G`` is
+    symmetric only up to rounding unless ``G`` selects coordinates."""
+    c2g = c2 @ g
+    return c0 + c1 @ g + c2g @ g, (c1 + 2.0 * c2g) @ G, G.T @ c2 @ G
+
+
 def _values(c0, c1, c2, x):
     """Values of the stacked polynomials ``c0[i] + c1[i] . x + x^T c2[i] x``
     (``c0 (K)``, ``c1 (K, m)``, ``c2 (K, m, m)``) at a point ``(m,)``, as
@@ -122,14 +142,6 @@ class Poly:
         return p
 
     # ---------------------------------------------------------------- basics
-    @classmethod
-    def constant(cls, m, value):
-        return cls(m, c0=value)
-
-    @classmethod
-    def linear(cls, m, vec):
-        return cls(m, c1=vec)
-
     @classmethod
     def coordinate(cls, m, k):
         c1 = np.zeros(m)
@@ -222,85 +234,37 @@ class Poly:
         return Poly(self.m, c0=self.c1[k], c1=2.0 * self.c2[k])
 
     # --------------------------------------------------------------- product
-    def multiply_tracked(self, other):
-        """Product with full bookkeeping.
-
-        Returns ``(product_dropped_to_degree2, c3, c4)`` where ``c3`` is the
-        fully symmetrized cubic coefficient array and ``c4`` the sup-norm of
-        the quartic part.  Callers decide whether nonzero overflow is an
-        error.
-        """
-        self._check(other)
-        m = self.m
-        c0 = self.c0 * other.c0
-        c1 = self.c0 * other.c1 + other.c0 * self.c1
-        c2 = (
-            self.c0 * other.c2
-            + other.c0 * self.c2
-            + _sym2(np.outer(self.c1, other.c1))
-        )
-        c3 = np.einsum("i,jk->ijk", self.c1, other.c2) + np.einsum(
-            "i,jk->ijk", other.c1, self.c2
-        )
-        c3 = _sym3(c3)
-        c4 = 0.0
-        if self.max_abs_quadratic() > 0.0 and other.max_abs_quadratic() > 0.0:
-            # sup-norm bound of the symmetrized rank-4 coefficient is enough
-            # for an exact-cancellation test only when one factor's quadratic
-            # part vanishes; otherwise report the actual product norm.
-            c4 = float(
-                np.abs(np.einsum("ij,kl->ijkl", self.c2, other.c2)).max(initial=0.0)
-            )
-        return Poly(m, c0, c1, c2), c3, c4
-
     def multiply(self, other, tol=1e-12):
-        """Product, required to stay at degree <= 2 within ``tol``."""
-        prod, c3, c4 = self.multiply_tracked(other)
+        """Product, required to stay at degree <= 2 within ``tol``: the cubic
+        coefficients and the quartic bound ``max|c2| * max|c2'|`` must stay
+        below ``tol`` times the coefficient scale, else
+        :class:`DegreeOverflowError` is raised."""
+        self._check(other)
+        c3 = _sym3(
+            np.einsum("i,jk->ijk", self.c1, other.c2)
+            + np.einsum("i,jk->ijk", other.c1, self.c2)
+        )
         scale = max(1.0, self.max_abs() * other.max_abs())
-        over = max(float(np.abs(c3).max(initial=0.0)), c4)
+        over = max(
+            float(np.abs(c3).max(initial=0.0)),
+            self.max_abs_quadratic() * other.max_abs_quadratic(),
+        )
         if over > tol * scale:
             raise DegreeOverflowError(
                 f"product leaves degree-2 space: overflow {over:.3e} "
                 f"exceeds {tol:.1e} * {scale:.3e}"
             )
-        return prod
-
-    # ----------------------------------------------------------- composition
-    def compose_affine(self, mat, shift=None):
-        """Exact substitution ``x -> mat @ x + shift`` (degree cannot grow)."""
-        mat = np.asarray(mat, dtype=float)
-        if mat.shape != (self.m, self.m):
-            raise DimensionError(
-                f"substitution matrix must be ({self.m},{self.m}), got {mat.shape}"
-            )
-        if shift is None:
-            shift = np.zeros(self.m)
-        shift = np.asarray(shift, dtype=float)
-        if shift.shape != (self.m,):
-            raise DimensionError("substitution shift has wrong length")
-        c0 = self.c0 + self.c1 @ shift + shift @ self.c2 @ shift
-        c1 = mat.T @ (self.c1 + 2.0 * (self.c2 @ shift))
-        c2 = mat.T @ self.c2 @ mat
-        return Poly(self.m, c0, c1, c2)
-
-    def restrict(self, free_idx, pinned_values):
-        """Substitute fixed values for all coordinates outside ``free_idx``.
-
-        ``pinned_values`` is a full-length vector; entries at ``free_idx``
-        are ignored.  The result is a polynomial in ``len(free_idx)``
-        variables, ordered as in ``free_idx``.
-        """
-        free_idx = list(free_idx)
-        mfree = len(free_idx)
-        pinned = np.asarray(pinned_values, dtype=float).copy()
-        pinned[free_idx] = 0.0
-        emb = np.zeros((self.m, mfree))
-        for col, j in enumerate(free_idx):
-            emb[j, col] = 1.0
-        c0 = self.c0 + self.c1 @ pinned + pinned @ self.c2 @ pinned
-        c1 = emb.T @ (self.c1 + 2.0 * (self.c2 @ pinned))
-        c2 = emb.T @ self.c2 @ emb
-        return Poly(mfree, c0, c1, c2)
+        c2 = (
+            self.c0 * other.c2
+            + other.c0 * self.c2
+            + _sym2(np.outer(self.c1, other.c1))
+        )
+        return Poly(
+            self.m,
+            self.c0 * other.c0,
+            self.c0 * other.c1 + other.c0 * self.c1,
+            c2,
+        )
 
     # ----------------------------------------------------------------- misc
     def snap(self, tol):
@@ -518,34 +482,35 @@ class PolyVectorField:
     def commutator(self, other, tol=1e-12):
         """Lie bracket ``[Z, W]^k = Z(W^k) - W(Z^k)``.
 
-        Component-wise cubic contributions must cancel within ``tol``
-        (relative to the coefficient scale), else
-        :class:`DegreeOverflowError` is raised.
+        Cubic contributions must cancel within ``tol`` (relative to the
+        coefficient scale), else :class:`DegreeOverflowError` is raised;
+        the derivatives ``dW`` and ``dZ`` are affine, so nothing quartic
+        arises.
         """
         self._check(other)
-        m = self.m
-        comps = []
-        scale = max(1.0, self.max_abs() * other.max_abs())
-        mine, theirs = self.components, other.components
-        for k in range(m):
-            acc = Poly(m)
-            c3 = np.zeros((m, m, m))
-            for j in range(m):
-                t1, o1, q1 = mine[j].multiply_tracked(theirs[k].partial(j))
-                t2, o2, q2 = theirs[j].multiply_tracked(mine[k].partial(j))
-                if max(q1, q2) > 0.0:
-                    raise DegreeOverflowError(
-                        "commutator of two quadratic fields needs quartic tracking"
-                    )
-                acc = acc + t1 - t2
-                c3 += o1 - o2
-            over = float(np.abs(c3).max(initial=0.0))
-            if over > tol * scale:
-                raise DegreeOverflowError(
-                    f"commutator component {k} has cubic residue {over:.3e}"
-                )
-            comps.append(acc)
-        return PolyVectorField(comps)
+
+        def along(Z, W):
+            # Z^j d_j W^k, with d_j W^k = w1[k, j] + 2 w2[k, j, l] x_l
+            return (
+                np.einsum("j,kj->k", Z.c0, W.c1),
+                np.einsum("jl,kj->kl", Z.c1, W.c1)
+                + 2.0 * np.einsum("j,kjl->kl", Z.c0, W.c2),
+                np.einsum("jlp,kj->klp", Z.c2, W.c1)
+                + 2.0 * np.einsum("jl,kjp->klp", Z.c1, W.c2),
+            )
+
+        if self.c2.any() and other.c2.any():
+            _check_cubic(
+                2.0 * (
+                    np.einsum("jlp,kjq->klpq", self.c2, other.c2)
+                    - np.einsum("jlp,kjq->klpq", other.c2, self.c2)
+                ),
+                self.max_abs() * other.max_abs(),
+                tol,
+                "commutator",
+            )
+        zw, wz = along(self, other), along(other, self)
+        return PolyVectorField.from_arrays(*(a - b for a, b in zip(zw, wz)))
 
     def __repr__(self):
         kind = "affine" if self.is_affine else "quadratic"
@@ -579,7 +544,13 @@ _SYMMETRIES = ("antisymmetric", "symmetric", "none")
 class PolyTensorField:
     """Rank-2 contravariant tensor field with Poly components ``T^{jk}``,
     stored as the arrays ``c0 (m, m)``, ``c1 (m, m, m)`` and
-    ``c2 (m, m, m, m)``."""
+    ``c2 (m, m, m, m)``.
+
+    A stack of ``B`` fields of one symmetry holds the same arrays with a
+    leading batch axis (``c0 (B, m, m)`` and so on); ``lie_derivative``,
+    ``flatten_field`` and ``unflatten_field`` of the contraction module
+    accept such stacks.
+    """
 
     __slots__ = ("m", "symmetry", "c0", "c1", "c2")
 
@@ -607,7 +578,7 @@ class PolyTensorField:
     def _set(self, symmetry, c0, c1, c2, validate_tol=None):
         if symmetry not in _SYMMETRIES:
             raise ValueError(f"symmetry must be one of {_SYMMETRIES}")
-        self.m = c0.shape[0]
+        self.m = c0.shape[-1]
         self.symmetry = symmetry
         self.c0, self.c1, self.c2 = c0, c1, c2
         if symmetry != "none" and validate_tol is not None:
@@ -642,16 +613,17 @@ class PolyTensorField:
     def _mirrored(cls, c0, c1, c2, symmetry):
         """Field whose components below the diagonal are copied from those
         above it (negated when antisymmetric, with a zero diagonal); the
-        arrays are modified in place."""
+        arrays are modified in place.  Arrays with a leading batch axis
+        give a stack of fields, ``c0`` of shape ``(B, m, m)``."""
         if symmetry != "none":
-            m = c0.shape[0]
-            low = np.tril_indices(m, -1)
-            diag = np.arange(m)
+            lead = (slice(None),) * (c0.ndim - 2)
+            below = np.tril_indices(c0.shape[-1], -1)
+            diag = np.arange(c0.shape[-1])
             sgn = -1.0 if symmetry == "antisymmetric" else 1.0
             for a in (c0, c1, c2):
-                a[low] = sgn * a[low[1], low[0]]
+                a[lead + below] = sgn * a[lead + below[::-1]]
                 if sgn < 0:
-                    a[diag, diag] = 0.0
+                    a[lead + (diag, diag)] = 0.0
         return cls._of(c0, c1, c2, symmetry)
 
     @classmethod

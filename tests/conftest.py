@@ -1,7 +1,9 @@
+import itertools
+
 import numpy as np
 import pytest
 
-from geomstates import build_basis
+from geomstates import Poly, build_basis
 
 
 @pytest.fixture(scope="session")
@@ -49,3 +51,13 @@ def per_point_density_matrix(basis, x):
     for j in range(1, basis.dim):
         rho = rho + 0.5 * x[j - 1] * basis.elements[j]
     return rho
+
+
+def tracked_product(a, b):
+    """Reference product of two ``Poly``, at least one of them affine:
+    the degree-<=2 part and the fully symmetrized cubic coefficients."""
+    assert not (a.c2.any() and b.c2.any()), "quartic terms are not tracked"
+    c2 = a.c0 * b.c2 + b.c0 * a.c2 + 0.5 * (np.outer(a.c1, b.c1) + np.outer(b.c1, a.c1))
+    c3 = np.einsum("i,jk->ijk", a.c1, b.c2) + np.einsum("i,jk->ijk", b.c1, a.c2)
+    c3 = sum(c3.transpose(p) for p in itertools.permutations(range(3))) / 6.0
+    return Poly(a.m, a.c0 * b.c0, a.c0 * b.c1 + b.c0 * a.c1, c2), c3

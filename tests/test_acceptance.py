@@ -187,11 +187,11 @@ def test_criterion_3_two_level_contractions(basis2, capsys):
             (0, 1): lin(3),
         }
         for (j, k), (c0, c1) in want.items():
-            assert _poly_diff(tab.poisson[j][k], c0, c1) <= 1e-9
+            assert _poly_diff(tab.poisson.component(j, k), c0, c1) <= 1e-9
         for j in range(3):
             for k in range(3):
                 want_c0 = 1.0 if j == k == 2 else 0.0
-                assert _poly_diff(tab.jordan[j][k], want_c0) <= 1e-9
+                assert _poly_diff(tab.jordan.component(j, k), want_c0) <= 1e-9
         assert verify_contracted_axioms(tab).max_residual() <= 1e-9
 
         # amplitude damping -> Heisenberg tables, all Jordan products zero
@@ -201,12 +201,12 @@ def test_criterion_3_two_level_contractions(basis2, capsys):
         assert rp.verdict == "limit" and rj.verdict == "limit"
         tab = extract_contracted_products(rp.limit, rj.limit)
         assert tab.linear
-        assert _poly_diff(tab.poisson[0][1], *lin(3, x3=1.0)) <= 1e-9
-        assert tab.poisson[1][2].max_abs() <= 1e-9
-        assert tab.poisson[2][0].max_abs() <= 1e-9
+        assert _poly_diff(tab.poisson.component(0, 1), *lin(3, x3=1.0)) <= 1e-9
+        assert tab.poisson.component(1, 2).max_abs() <= 1e-9
+        assert tab.poisson.component(2, 0).max_abs() <= 1e-9
         for j in range(3):
             for k in range(3):
-                assert tab.jordan[j][k].max_abs() <= 1e-9
+                assert tab.jordan.component(j, k).max_abs() <= 1e-9
         assert verify_contracted_axioms(tab).max_residual() <= 1e-9
 
 
@@ -340,9 +340,9 @@ def test_criterion_5_three_level_decoherence_contractions(capsys):
             for j in range(8):
                 for k in range(j, 8):
                     c0, c1 = _expected_poly(8, THEOREM_POISSON_INF.get((j + 1, k + 1), {}))
-                    assert _poly_diff(tab.poisson[j][k], c0, c1) <= 1e-8, ("P", j, k)
+                    assert _poly_diff(tab.poisson.component(j, k), c0, c1) <= 1e-8, ("P", j, k)
                     c0, c1 = _expected_poly(8, THEOREM_JORDAN_INF.get((j + 1, k + 1), {}))
-                    assert _poly_diff(tab.jordan[j][k], c0, c1) <= 1e-8, ("J", j, k)
+                    assert _poly_diff(tab.jordan.component(j, k), c0, c1) <= 1e-8, ("J", j, k)
         # and the two models agree with each other line by line
         assert set(format_product_table(rm.tables)) == set(format_product_table(rp.tables))
 

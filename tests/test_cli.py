@@ -178,8 +178,8 @@ class TestArtifacts:
             point=np.zeros(3),
             free_indices=[],
             directions=np.zeros((3, 0)),
-            poisson=[],
-            jordan=[],
+            poisson=PolyTensorField.zero(0, "antisymmetric"),
+            jordan=PolyTensorField.zero(0, "symmetric"),
             closed=True,
             c_red=np.zeros((1, 1, 1)),
             d_red=np.ones((1, 1, 1)),
@@ -194,8 +194,8 @@ def _single_point(point):
         point=np.asarray(point, dtype=float),
         free_indices=[],
         directions=np.zeros((len(point), 0)),
-        poisson=[],
-        jordan=[],
+        poisson=PolyTensorField.zero(0, "antisymmetric"),
+        jordan=PolyTensorField.zero(0, "symmetric"),
         closed=True,
         c_red=np.zeros((1, 1, 1)),
         d_red=np.ones((1, 1, 1)),
@@ -507,6 +507,40 @@ class TestExitCodes:
         p.write_text(json.dumps(scen))
         assert main(["run", str(p), "--out", str(tmp_path)]) == 1
         assert "output" in capsys.readouterr().err
+
+
+    @pytest.mark.parametrize(
+        "scen, named",
+        [
+            ({"model": "phase-damping", "parameters": {"points": "abc"}}, "'points'"),
+            ({"model": "phase-damping", "parameters": {"gamma": "abc"}}, "'gamma'"),
+            ({"model": "phase-damping", "parameters": {"t_end": "x"}}, "'t_end'"),
+            ({"model": "phase-damping", "parameters": {"seed": "x"}}, "'seed'"),
+            ({"model": "phase-damping", "parameters": {"points": True}}, "'points'"),
+            ({"model": "phase-damping", "parameters": {"gamma": float("nan")}}, "'gamma'"),
+            ({"model": "phase-damping", "parameters": {"x0": [0.1, "a", 0]}}, "'x0'"),
+            ({"n": "two", "model": {"V": [[[0, 1], [0, 0]]]}}, "n='two'"),
+            ({"model": "phase-damping", "outputs": "trajectory"}, "'outputs'"),
+            ({"model": {"H": [[True, 0], [0, -1]]}}, "H:"),
+            ({"model": {"H": [[["a", 0], 0], [0, -1]]}}, "H:"),
+            ({"model": 5}, "'model'"),
+        ],
+    )
+    def test_malformed_scenario_values_rejected(self, tmp_path, capsys, scen, named):
+        p = tmp_path / "bad.json"
+        p.write_text(json.dumps(scen))
+        assert main(["run", str(p), "--out", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and named in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("flag, value", [("--gamma", "nan"), ("--t-end", "inf")])
+    def test_non_finite_flags_rejected(self, tmp_path, capsys, flag, value):
+        # a NaN rate used to give an all-zero generator and a "limit" verdict
+        out = tmp_path / "out"
+        assert main(["run", "phase-damping", "--out", str(out), flag, value]) == 1
+        assert capsys.readouterr().err.startswith("error: parameter")
+        assert not out.exists()
 
 
 class TestTensorFamily:

@@ -45,7 +45,7 @@ from geomstates import (
     verify_contracted_axioms,
 )
 from geomstates.contraction import coeff_size
-from conftest import random_hermitian
+from conftest import random_hermitian, tracked_product
 
 SQ3 = np.sqrt(3.0)
 
@@ -412,6 +412,27 @@ class TestLimitSetAlgebra:
         assert matches_level_algebra(lsa, 2)
         assert not matches_level_algebra(lsa, 3)
 
+    @pytest.mark.parametrize("rotated", [False, True])
+    def test_tables_are_static_products_on_the_set(self, basis3, rng, rotated):
+        model = model_three_level_decay()
+        if rotated:
+            # every coordinate free, and a stationary point off the origin
+            h = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
+            U = scipy.linalg.expm(1j * (h + h.conj().T))
+            model = LindbladModel(basis3, V=[U @ V @ U.conj().T for V in model.V])
+        lsa = limit_set_algebra(lindblad_vf(model), basis3, verdict="divergent")
+        free = lsa.free_indices
+        sel = np.ix_(free, free)
+        lam, R = poisson_field(basis3), symmetric_field(basis3)
+        for y in rng.normal(size=(4, len(free))):
+            x = lsa.point.copy()
+            x[free] = y
+            for got, want in (
+                (lsa.poisson(y), lam(x)[sel]),
+                (lsa.jordan(y), (R(x) + np.outer(x, x))[sel]),
+            ):
+                assert np.abs(got - want).max() <= 1e-12 * max(1.0, np.abs(want).max())
+
     def test_guard_when_limit_exists(self, basis2):
         Z = lindblad_vf(model_phase_damping(1.0))
         with pytest.raises(LimitExistsError):
@@ -492,7 +513,7 @@ def _reference_lie_derivative(Z, T, tol=1e-12):
                     (grid[mu][k].scale(-1.0), zc[j].partial(mu)),
                     (grid[j][mu].scale(-1.0), zc[k].partial(mu)),
                 ):
-                    prod, over3, _ = a.multiply_tracked(b)
+                    prod, over3 = tracked_product(a, b)
                     acc = acc + prod
                     c3 += over3
             if np.abs(c3).max() > tol * scale:
@@ -557,6 +578,30 @@ class TestArrayLieDerivative:
                 _reference_lie_derivative(Z, symmetric_field(basis))
             with pytest.raises(DegreeOverflowError):
                 lie_derivative(Z, symmetric_field(basis))
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_stack_matches_per_item_calls(self, n, rng):
+        basis = build_basis(n)
+        m = basis.m
+        a = basis.observable(rng.normal(size=basis.dim))
+        cases = [
+            (lindblad_vf(_random_lindblad(n, 3)), "symmetric", True),
+            (PolyVectorField.from_affine(rng.normal(size=(m, m)), rng.normal(size=m)),
+             "antisymmetric", True),
+            (gradient_vf(basis, a), "none", False),
+        ]
+        for Z, sym, quadratic in cases:
+            P, q = len(tensor_pairs(m, sym)), coeff_size(m)
+            vecs = rng.normal(size=(3, P, q))
+            if not quadratic:
+                vecs[..., 1 + m :] = 0.0
+            vecs = vecs.reshape(3, P * q)
+            stack = lie_derivative(Z, unflatten_field(vecs, m, sym))
+            flat = flatten_field(stack)
+            assert stack.symmetry == sym and flat.shape == vecs.shape
+            for v, got in zip(vecs, flat):
+                want = flatten_field(lie_derivative(Z, unflatten_field(v, m, sym)))
+                assert np.abs(got - want).max() <= 1e-14 * max(1.0, np.abs(want).max())
 
 
 class TestGeometricTransport:

@@ -10,7 +10,12 @@ from geomstates import (
     Poly,
     PolyTensorField,
     PolyVectorField,
+    build_basis,
+    gradient_vf,
+    hamiltonian_vf,
 )
+from geomstates.poly import _compose_affine
+from conftest import tracked_product
 
 
 def _rand_poly(rng, m, quad=True):
@@ -81,34 +86,12 @@ class TestPoly:
         with pytest.raises(DegreeOverflowError):
             p.multiply(q)
 
-    def test_multiply_tracked_exposes_cancellation(self, rng):
-        # cubic terms of x1^2 * x1 are reported, not silently dropped
-        m = 2
-        sq = Poly(m, c2=[[1.0, 0.0], [0.0, 0.0]])
-        lin = Poly(m, 0.0, [1.0, 0.0])
-        low, c3, c4 = sq.multiply_tracked(lin)
-        assert np.abs(c3).max() > 0.5
-        assert c4 == 0.0
-
-    def test_compose_affine(self, rng):
-        m = 3
-        p = _rand_poly(rng, m)
-        E = rng.normal(size=(m, m))
-        f = rng.normal(size=m)
-        comp = p.compose_affine(E, f)
-        x = rng.normal(size=m)
-        assert comp(x) == pytest.approx(p(E @ x + f), rel=1e-12)
-
-    def test_restrict(self, rng):
-        m = 4
-        p = _rand_poly(rng, m)
-        pin = rng.normal(size=m)
-        free = [1, 3]
-        r = p.restrict(free, pin)
-        y = rng.normal(size=2)
-        full = pin.copy()
-        full[1], full[3] = y
-        assert r(y) == pytest.approx(p(full), rel=1e-12)
+    def test_multiply_quadratic_times_quadratic_raises(self):
+        # x1^2 * x2^2 has no cubic part; its quartic part alone must raise
+        p = Poly(2, c2=[[1.0, 0.0], [0.0, 0.0]])
+        q = Poly(2, c2=[[0.0, 0.0], [0.0, 1.0]])
+        with pytest.raises(DegreeOverflowError):
+            p.multiply(q)
 
     def test_snap(self):
         p = Poly(2, 1e-15, [1.0, 1e-16], [[1e-15, 0.0], [0.0, 2.0]])
@@ -321,3 +304,87 @@ class TestArrayBackedEvaluation:
             c0 - c0.T, c1 - c1.transpose(1, 0, 2), symmetry="antisymmetric"
         )
         assert anti.component(1, 0).allclose(anti.component(0, 1).scale(-1.0), 0.0)
+
+
+class TestComposeAffine:
+    """``_compose_affine`` against evaluating each polynomial at ``G y + g``."""
+
+    def test_matches_pointwise_evaluation(self, rng):
+        m = 5
+        c0, c1, c2 = _random_stack(rng, (3, 2), m, True)
+        c2 = 0.5 * (c2 + np.swapaxes(c2, -1, -2))
+        free = [0, 2, 4]
+        pinned = rng.normal(size=m)
+        pinned[free] = 0.0
+        for G, g in (
+            (rng.normal(size=(m, m)), rng.normal(size=m)),
+            (rng.normal(size=(m, 2)), rng.normal(size=m)),
+            (np.eye(m)[:, free], pinned),
+        ):
+            k = G.shape[1]
+            d0, d1, d2 = _compose_affine(c0, c1, c2, G, g)
+            assert d0.shape == (3, 2) and d1.shape == (3, 2, k)
+            for y in rng.normal(size=(4, k)):
+                x = G @ y + g
+                for i in np.ndindex(3, 2):
+                    p = Poly(m, c0[i], c1[i], c2[i])
+                    got = Poly(k, d0[i], d1[i], d2[i])(y)
+                    assert abs(got - p(x)) <= 1e-12 * _abs_values([p], x)[0]
+
+
+def _reference_commutator(Z, W, tol=1e-12):
+    """Per-component ``[Z, W]^k = Z(W^k) - W(Z^k)`` from tracked ``Poly``
+    products."""
+    m = Z.m
+    scale = max(1.0, Z.max_abs() * W.max_abs())
+    zc, wc = Z.components, W.components
+    comps = []
+    for k in range(m):
+        acc = Poly(m)
+        c3 = np.zeros((m, m, m))
+        for j in range(m):
+            for a, b, sgn in ((zc[j], wc[k].partial(j), 1.0), (wc[j], zc[k].partial(j), -1.0)):
+                prod, over3 = tracked_product(a, b)
+                acc = acc + prod.scale(sgn)
+                c3 += sgn * over3
+        if np.abs(c3).max() > tol * scale:
+            raise DegreeOverflowError(f"cubic residue in component {k}")
+        comps.append(acc)
+    return PolyVectorField(comps)
+
+
+class TestArrayCommutator:
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_matches_per_poly_reference(self, n, rng):
+        basis = build_basis(n)
+        m = basis.m
+        a, b = (basis.observable(rng.normal(size=basis.dim)) for _ in range(2))
+        affine = [
+            PolyVectorField.from_affine(rng.normal(size=(m, m)), rng.normal(size=m)),
+            hamiltonian_vf(basis, a),
+        ]
+        quadratic = [
+            gradient_vf(basis, a),
+            PolyVectorField.from_arrays(*_random_stack(rng, (m,), m, True)),
+        ]
+        pairs = [(Z, W) for Z in affine for W in affine + quadratic]
+        pairs += [(Z, W) for Z in quadratic for W in affine]
+        # quadratic pairs whose cubic terms cancel
+        pairs += [(gradient_vf(basis, a), gradient_vf(basis, b))]
+        pairs += [(Y, Y.scale(-2.0)) for Y in quadratic]
+        for Z, W in pairs:
+            got = Z.commutator(W)
+            want = _reference_commutator(Z, W)
+            assert got.allclose(want, 1e-12 * max(1.0, want.max_abs()))
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_non_cancelling_quadratic_pair_raises(self, n, rng):
+        m = build_basis(n).m
+        Z, W = (
+            PolyVectorField.from_arrays(*_random_stack(rng, (m,), m, True))
+            for _ in range(2)
+        )
+        with pytest.raises(DegreeOverflowError):
+            _reference_commutator(Z, W)
+        with pytest.raises(DegreeOverflowError):
+            Z.commutator(W)
