@@ -90,35 +90,29 @@ from .dynamics import (
     model_three_level_decay,
     state_from_coords,
 )
-from .contraction import analyze_contraction, flow_family, format_product_table
+from .contraction import (
+    analyze_contraction,
+    flow_family,
+    format_product_table,
+    matches_level_algebra,
+)
 
 DEFAULT_SEED = 7
 OUTPUT_KINDS = ("field-samples", "trajectory", "tensor-family", "contraction", "tables")
 
-_DEFAULT_PARAMS = {
-    "gamma": 1.0,
-    "B": (0.0, 0.0, 1.0),
-    "t_end": 5.0,
-    "dt": None,
-    "x0": None,
-    "points": 500,
-    "slice": None,
-    "d": 3,
-    "seed": DEFAULT_SEED,
+# parameter -> (default, number type, holds a list of them, may be null)
+_PARAMS = {
+    "gamma": (1.0, float, False, False),
+    "B": ((0.0, 0.0, 1.0), float, True, False),
+    "t_end": (5.0, float, False, False),
+    "dt": (None, float, False, True),
+    "x0": (None, float, True, True),
+    "points": (500, int, False, False),
+    "slice": (None, int, True, True),
+    "d": (3, int, False, False),
+    "seed": (DEFAULT_SEED, int, False, False),
 }
-
-# scenario-file parameter -> (number type, holds a list of them, may be null)
-_PARAM_TYPES = {
-    "gamma": (float, False, False),
-    "B": (float, True, False),
-    "t_end": (float, False, False),
-    "dt": (float, False, True),
-    "x0": (float, True, True),
-    "points": (int, False, False),
-    "slice": (int, True, True),
-    "d": (int, False, False),
-    "seed": (int, False, False),
-}
+_DEFAULTS = {key: spec[0] for key, spec in _PARAMS.items()}
 
 _DEFAULT_X0 = {
     2: (0.3, 0.3, 0.8),
@@ -450,8 +444,6 @@ def _limit_set_json(lsa):
     level = int(round(np.sqrt(k + 1)))
     # a single stationary point (k = 0) carries no n-level algebra
     if lsa.closed and level >= 2 and level * level == k + 1:
-        from .contraction import matches_level_algebra
-
         if matches_level_algebra(lsa, level):
             out["isomorphic_to_level"] = level
     return out
@@ -540,23 +532,29 @@ def _is_number(v, kind=float):
     )
 
 
-def _check_param(key, value):
-    kind, is_list, nullable = _PARAM_TYPES[key]
-    if value is None and nullable:
-        return
-    noun = "integer" if kind is int else "finite number"
-    if is_list:
-        ok = isinstance(value, (list, tuple)) and all(
-            _is_number(v, kind) for v in value
-        )
-        what = f"a list of {noun}s"
-    else:
-        ok = _is_number(value, kind)
-        what = f"an {noun}" if kind is int else f"a {noun}"
-    if not ok:
-        raise InvariantViolationError(
-            f"parameter {key!r} must be {what}, got {value!r}"
-        )
+def _checked_params(params):
+    """A copy of ``params`` after checking that each key is a known parameter
+    and each value has its type."""
+    for key, value in params.items():
+        if key not in _PARAMS:
+            raise InvariantViolationError(f"unknown parameter {key!r}")
+        _, kind, is_list, nullable = _PARAMS[key]
+        if value is None and nullable:
+            continue
+        noun = "integer" if kind is int else "finite number"
+        if is_list:
+            ok = isinstance(value, (list, tuple)) and all(
+                _is_number(v, kind) for v in value
+            )
+            what = f"a list of {noun}s"
+        else:
+            ok = _is_number(value, kind)
+            what = f"an {noun}" if kind is int else f"a {noun}"
+        if not ok:
+            raise InvariantViolationError(
+                f"parameter {key!r} must be {what}, got {value!r}"
+            )
+    return dict(params)
 
 
 def _parse_matrix(obj, what):
@@ -587,21 +585,15 @@ def _parse_matrix(obj, what):
 
 
 def setup_from_scenario(data, params, default_name):
-    """Build a RunSetup from a parsed scenario-file object."""
+    """Build a RunSetup from a parsed scenario-file object; returns it with
+    the parameters in use.  ``params`` (checked overrides) beat the file's
+    ``parameters``, which beat the defaults."""
     if not isinstance(data, dict):
         raise InvariantViolationError("scenario file must hold a JSON object")
-    merged = dict(params)
     file_params = data.get("parameters", {})
     if not isinstance(file_params, dict):
         raise InvariantViolationError("'parameters' must be an object")
-    for key, value in file_params.items():
-        if key not in _DEFAULT_PARAMS:
-            raise InvariantViolationError(f"unknown parameter {key!r}")
-        _check_param(key, value)
-        # explicit CLI flags win over scenario-file values
-        if params.get("_explicit", {}).get(key, False):
-            continue
-        merged[key] = value
+    merged = {**_DEFAULTS, **_checked_params(file_params), **params}
 
     model = data.get("model")
     if model is None:
@@ -708,21 +700,11 @@ def run_scenario(target, out_dir="geomstates-out", params=None, report=False):
     """Execute a builtin or scenario file; returns (artifact dict, log lines).
 
     ``target`` is a registry name or a path to a JSON scenario file.
-    ``params`` maps parameter names to overrides (``_explicit`` marks the
-    ones that must beat scenario-file values).  ``report=True`` adds the
+    ``params`` maps parameter names to overrides, which beat the defaults
+    and the values of a scenario file.  ``report=True`` adds the
     contraction and static-table artifacts.
     """
-    merged = dict(_DEFAULT_PARAMS)
-    merged["_explicit"] = {}
-    if params:
-        for key, value in params.items():
-            if key == "_explicit":
-                merged["_explicit"] = dict(value)
-                continue
-            if key not in _DEFAULT_PARAMS:
-                raise InvariantViolationError(f"unknown parameter {key!r}")
-            _check_param(key, value)
-            merged[key] = value
+    params = _checked_params(params or {})
 
     path = Path(target)
     looks_like_file = target.endswith(".json") or os.sep in target or path.is_file()
@@ -730,8 +712,9 @@ def run_scenario(target, out_dir="geomstates-out", params=None, report=False):
         if not path.is_file():
             raise FileNotFoundError(f"scenario file not found: {target}")
         data = json.loads(path.read_text(encoding="utf-8"))
-        setup, merged = setup_from_scenario(data, merged, path.stem)
+        setup, merged = setup_from_scenario(data, params, path.stem)
     else:
+        merged = {**_DEFAULTS, **params}
         setup = _builtin_setup(target, merged)  # KeyError for unknown names
 
     outputs = list(setup.outputs)
@@ -866,31 +849,23 @@ def build_parser():
 
 
 def _cli_params(args):
-    params = {"_explicit": {}}
-
-    def put(key, value):
-        if value is not None:
-            params[key] = value
-            params["_explicit"][key] = True
-
-    put("gamma", args.gamma)
-    if args.B is not None:
-        put("B", _parse_floats(args.B, "--B", 3))
-    put("t_end", args.t_end)
-    put("dt", args.dt)
-    if args.x0 is not None:
-        put("x0", _parse_floats(args.x0, "--x0"))
-    put("points", args.points)
-
+    params = {
+        "gamma": args.gamma,
+        "B": None if args.B is None else _parse_floats(args.B, "--B", 3),
+        "t_end": args.t_end,
+        "dt": args.dt,
+        "x0": None if args.x0 is None else _parse_floats(args.x0, "--x0"),
+        "points": args.points,
+    }
     seed_text = os.environ.get("GEOM_SEED")
     if seed_text is not None:
         try:
-            put("seed", int(seed_text))
+            params["seed"] = int(seed_text)
         except ValueError:
             raise argparse.ArgumentTypeError(
                 f"GEOM_SEED must be an integer, got {seed_text!r}"
             )
-    return params
+    return {key: value for key, value in params.items() if value is not None}
 
 
 def main(argv=None):

@@ -778,7 +778,7 @@ def _coordinate_products(m):
 
 
 def _is_affine(*fields, tol):
-    return max(np.abs(T.c2).max(initial=0.0) for T in fields) <= tol
+    return max(T.max_abs_quadratic() for T in fields) <= tol
 
 
 def extract_contracted_products(lam_limit, r_limit, quad_tol=1e-9):

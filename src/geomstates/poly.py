@@ -14,27 +14,32 @@ space (products of two quadratics, commutators of quadratic fields) track
 the would-be cubic/quartic coefficients and raise
 :class:`~geomstates.errors.DegreeOverflowError` unless they cancel.
 
-A field stores the triples of all its components as three stacked
-coefficient arrays, with the component indices leading:
+All three kinds of object are stacks of such triples, with zero, one or two
+component indices leading the coefficient arrays:
 
+* a :class:`Poly` holds ``c0`` (a float), ``c1 (m)`` and ``c2 (m, m)``;
 * a vector field ``Z`` holds ``c0 (m)``, ``c1 (m, m)`` and ``c2 (m, m, m)``,
   so ``Z^k(x) = c0[k] + c1[k] . x + x^T c2[k] x``;
 * a tensor field ``T`` holds ``c0 (m, m)``, ``c1 (m, m, m)`` and
   ``c2 (m, m, m, m)``, with ``T^{jk}`` in slot ``[j, k]``.
 
-Evaluation (at a point or over an ``(N, m)`` batch of points), sums,
-contraction and snapping are array operations on these stacks.
-``components`` and ``component(j, k)`` return :class:`Poly` views that share
-the field's arrays.
+Their shared base class implements, once, what acts on the three arrays
+alike: sums, differences, negation and scaling, the norms ``max_abs`` and
+``max_abs_quadratic``, ``is_zero``, ``allclose`` and ``snap``; the two
+fields also share batched evaluation (at a point or over an ``(N, m)``
+batch of points).  Inputs are validated in one place, which rejects
+non-finite coefficients.  ``components`` and ``component(j, k)`` return
+:class:`Poly` views that share the field's arrays.
 """
 
 from __future__ import annotations
 
 import itertools
+import operator
 
 import numpy as np
 
-from .errors import DegreeOverflowError, DimensionError
+from .errors import DegreeOverflowError, DimensionError, InvariantViolationError
 
 __all__ = [
     "Poly",
@@ -102,44 +107,142 @@ def _values(c0, c1, c2, x):
     return out if x.ndim == 2 else out[0]
 
 
-class Poly:
-    """Real polynomial of degree <= 2 in ``m`` variables."""
+def _coeff_arrays(c0, c1, c2, lead, m):
+    """Float copies of stacked coefficient arrays with leading shape
+    ``lead``; ``c2`` is symmetrized over its last two axes, and ``None``
+    for ``c1`` or ``c2`` means zeros.  A non-finite coefficient raises
+    :class:`InvariantViolationError`: a NaN compares false against every
+    cut, so :meth:`snap` would turn it into an exact zero."""
+    c0 = np.array(c0, dtype=float)
+    c1 = np.zeros(lead + (m,)) if c1 is None else np.array(c1, dtype=float)
+    c2 = np.zeros(lead + (m, m)) if c2 is None else _sym2(np.asarray(c2, dtype=float))
+    for name, arr, shape in (
+        ("c0", c0, lead),
+        ("c1", c1, lead + (m,)),
+        ("c2", c2, lead + (m, m)),
+    ):
+        if arr.shape != shape:
+            raise DimensionError(f"{name} must have shape {shape}, got {arr.shape}")
+        if not np.isfinite(arr).all():
+            raise InvariantViolationError(f"{name} has non-finite coefficients")
+    return c0, c1, c2
+
+
+def _stack_polys(polys, lead):
+    """Coefficient arrays of :class:`Poly` objects in ``m = lead[0]``
+    variables, listed in row-major order over ``lead``."""
+    m = lead[0]
+    if m == 0:
+        raise DimensionError("a field needs at least one component")
+    if len(polys) != m ** len(lead) or not all(
+        isinstance(p, Poly) and p.m == m for p in polys
+    ):
+        raise DimensionError(f"need {m ** len(lead)} components, all Poly in m={m}")
+    return (
+        np.array([p.c0 for p in polys]).reshape(lead),
+        np.array([p.c1 for p in polys]).reshape(lead + (m,)),
+        np.array([p.c2 for p in polys]).reshape(lead + (m, m)),
+    )
+
+
+class _Stack:
+    """Coefficient stack ``c0 (*lead)``, ``c1 (*lead, m)``, ``c2 (*lead, m, m)``
+    of polynomials of degree <= 2 in ``m`` variables.  The arrays are never
+    modified in place, so results may share them with their operands."""
 
     __slots__ = ("m", "c0", "c1", "c2")
+
+    @classmethod
+    def _of(cls, c0, c1, c2):
+        """Object around the arrays as they are (``c2`` already symmetric)."""
+        obj = cls.__new__(cls)
+        obj.m, obj.c0, obj.c1, obj.c2 = c1.shape[-1], c0, c1, c2
+        return obj
+
+    def _new(self, c0, c1, c2, other=None):
+        """Object of the kind of ``self`` around new arrays; ``other`` is the
+        second operand of a binary operation."""
+        return self._of(c0, c1, c2)
+
+    def _arrays(self):
+        return self.c0, self.c1, self.c2
+
+    def _check(self, other):
+        if not isinstance(other, type(self)):
+            raise TypeError(
+                f"expected {type(self).__name__}, got {type(other).__name__}"
+            )
+        if other.m != self.m:
+            raise DimensionError(
+                f"objects in {self.m} and {other.m} variables are incompatible"
+            )
+
+    def _binary(self, other, op):
+        if not isinstance(other, type(self)):
+            return NotImplemented
+        self._check(other)
+        return self._new(*map(op, self._arrays(), other._arrays()), other)
+
+    def __add__(self, other):
+        return self._binary(other, operator.add)
+
+    def __sub__(self, other):
+        return self._binary(other, operator.sub)
+
+    def __neg__(self):
+        return self._new(-self.c0, -self.c1, -self.c2)
+
+    def scale(self, s):
+        s = float(s)
+        return self._new(s * self.c0, s * self.c1, s * self.c2)
+
+    def __call__(self, x):
+        """Value ``(*lead)`` at a point ``(m,)``, or values ``(N, *lead)``
+        over points ``(N, m)``."""
+        m, lead = self.m, self.c0.shape
+        vals = _values(
+            self.c0.reshape(-1), self.c1.reshape(-1, m), self.c2.reshape(-1, m, m), x
+        )
+        return vals.reshape(vals.shape[:-1] + lead)
+
+    def max_abs(self):
+        """Largest coefficient magnitude (NaN if any coefficient is NaN)."""
+        return float(np.max([np.abs(a).max(initial=0.0) for a in self._arrays()]))
+
+    def max_abs_quadratic(self):
+        return float(np.abs(self.c2).max(initial=0.0))
+
+    def is_zero(self, tol=0.0):
+        return self.max_abs() <= tol
+
+    def allclose(self, other, tol=1e-12):
+        """Whether every coefficient lies within ``tol`` of ``other``'s; an
+        object of another kind or in another ``m`` raises."""
+        self._check(other)
+        return (self - other).max_abs() <= tol
+
+    def snap(self, tol):
+        """Copy with the coefficients of magnitude at most ``tol`` zeroed."""
+        return self._new(*(np.where(np.abs(a) > tol, a, 0.0) for a in self._arrays()))
+
+
+class Poly(_Stack):
+    """Real polynomial of degree <= 2 in ``m`` variables."""
+
+    __slots__ = ()
 
     def __init__(self, m, c0=0.0, c1=None, c2=None):
         if m < 0:
             raise DimensionError("number of variables must be >= 0")
         self.m = int(m)
+        c0, self.c1, self.c2 = _coeff_arrays(c0, c1, c2, (), self.m)
         self.c0 = float(c0)
-        if c1 is None:
-            self.c1 = np.zeros(m)
-        else:
-            self.c1 = np.asarray(c1, dtype=float).copy()
-            if self.c1.shape != (m,):
-                raise DimensionError(
-                    f"linear coefficient must have shape ({m},), got {self.c1.shape}"
-                )
-        if c2 is None:
-            self.c2 = np.zeros((m, m))
-        else:
-            c2 = np.asarray(c2, dtype=float)
-            if c2.shape != (m, m):
-                raise DimensionError(
-                    f"quadratic coefficient must have shape ({m},{m}), got {c2.shape}"
-                )
-            self.c2 = _sym2(c2)
 
     @classmethod
-    def _view(cls, c0, c1, c2):
-        """Poly sharing the arrays ``c1`` and ``c2`` (already symmetric) of
+    def _of(cls, c0, c1, c2):
+        """Poly around ``c1`` and ``c2`` (already symmetric), e.g. views of
         a field component."""
-        p = cls.__new__(cls)
-        p.m = c1.shape[0]
-        p.c0 = float(c0)
-        p.c1 = c1
-        p.c2 = c2
-        return p
+        return super()._of(float(c0), c1, c2)
 
     # ---------------------------------------------------------------- basics
     @classmethod
@@ -166,59 +269,21 @@ class Poly:
             return 0
         return -1  # the zero polynomial
 
-    def max_abs(self):
-        return max(
-            abs(self.c0),
-            np.abs(self.c1).max(initial=0.0),
-            self.max_abs_quadratic(),
-        )
-
-    def max_abs_quadratic(self):
-        return np.abs(self.c2).max(initial=0.0)
-
-    def is_zero(self, tol=0.0):
-        return self.max_abs() <= tol
-
-    def allclose(self, other, tol=1e-12):
-        self._check(other)
-        return (
-            abs(self.c0 - other.c0) <= tol
-            and np.abs(self.c1 - other.c1).max(initial=0.0) <= tol
-            and np.abs(self.c2 - other.c2).max(initial=0.0) <= tol
-        )
-
-    def _check(self, other):
-        if not isinstance(other, Poly):
-            raise TypeError(f"expected Poly, got {type(other).__name__}")
-        if other.m != self.m:
-            raise DimensionError(
-                f"polynomials in {self.m} and {other.m} variables are incompatible"
-            )
-
     # ------------------------------------------------------------ arithmetic
     def __add__(self, other):
         if isinstance(other, (int, float)):
-            return Poly(self.m, self.c0 + other, self.c1, self.c2)
-        self._check(other)
-        return Poly(self.m, self.c0 + other.c0, self.c1 + other.c1, self.c2 + other.c2)
+            return Poly._of(self.c0 + other, self.c1, self.c2)
+        return super().__add__(other)
 
     __radd__ = __add__
 
     def __sub__(self, other):
         if isinstance(other, (int, float)):
-            return Poly(self.m, self.c0 - other, self.c1, self.c2)
-        self._check(other)
-        return Poly(self.m, self.c0 - other.c0, self.c1 - other.c1, self.c2 - other.c2)
+            return Poly._of(self.c0 - other, self.c1, self.c2)
+        return super().__sub__(other)
 
     def __rsub__(self, other):
         return (-self) + other
-
-    def __neg__(self):
-        return Poly(self.m, -self.c0, -self.c1, -self.c2)
-
-    def scale(self, s):
-        s = float(s)
-        return Poly(self.m, s * self.c0, s * self.c1, s * self.c2)
 
     def __mul__(self, other):
         if isinstance(other, (int, float)):
@@ -267,13 +332,6 @@ class Poly:
         )
 
     # ----------------------------------------------------------------- misc
-    def snap(self, tol):
-        """Copy with coefficient groups below ``tol`` zeroed exactly."""
-        c0 = self.c0 if abs(self.c0) > tol else 0.0
-        c1 = np.where(np.abs(self.c1) > tol, self.c1, 0.0)
-        c2 = np.where(np.abs(self.c2) > tol, self.c2, 0.0)
-        return Poly(self.m, c0, c1, c2)
-
     def to_dict(self):
         return {
             "c0": self.c0,
@@ -332,50 +390,16 @@ class Poly:
         return out
 
 
-def _coeff_arrays(c0, c1, c2, lead, m):
-    """Float copies of stacked coefficient arrays with leading shape
-    ``lead``; ``c2`` is symmetrized as :class:`Poly` does, ``None`` is 0."""
-    c0 = np.array(c0, dtype=float)
-    c1 = np.array(c1, dtype=float)
-    c2 = np.zeros(lead + (m, m)) if c2 is None else _sym2(np.asarray(c2, dtype=float))
-    for name, arr, shape in (
-        ("c0", c0, lead),
-        ("c1", c1, lead + (m,)),
-        ("c2", c2, lead + (m, m)),
-    ):
-        if arr.shape != shape:
-            raise DimensionError(f"{name} must have shape {shape}, got {arr.shape}")
-    return c0, c1, c2
-
-
-class PolyVectorField:
+class PolyVectorField(_Stack):
     """Vector field on coordinate space with Poly components ``Z^k``, stored
     as the arrays ``c0 (m)``, ``c1 (m, m)`` and ``c2 (m, m, m)``."""
 
-    __slots__ = ("m", "c0", "c1", "c2")
+    __slots__ = ()
 
     def __init__(self, components):
         components = list(components)
-        if not components:
-            raise DimensionError("a vector field needs at least one component")
-        m = components[0].m
-        if len(components) != m:
-            raise DimensionError(
-                f"need exactly m={m} components, got {len(components)}"
-            )
-        for p in components:
-            if not isinstance(p, Poly) or p.m != m:
-                raise DimensionError("all components must be Poly in the same m")
-        self.m = m
-        self.c0 = np.array([p.c0 for p in components])
-        self.c1 = np.array([p.c1 for p in components])
-        self.c2 = np.array([p.c2 for p in components])
-
-    @classmethod
-    def _of(cls, c0, c1, c2):
-        Z = cls.__new__(cls)
-        Z.m, Z.c0, Z.c1, Z.c2 = c0.shape[0], c0, c1, c2
-        return Z
+        self.c0, self.c1, self.c2 = _stack_polys(components, (len(components),))
+        self.m = len(components)
 
     @classmethod
     def from_arrays(cls, c0, c1, c2=None):
@@ -404,47 +428,7 @@ class PolyVectorField:
 
     @property
     def components(self):
-        return [Poly._view(self.c0[k], self.c1[k], self.c2[k]) for k in range(self.m)]
-
-    def __call__(self, x):
-        """Value ``(m,)`` at a point ``(m,)``, or values ``(N, m)`` over
-        points ``(N, m)``."""
-        return _values(self.c0, self.c1, self.c2, x)
-
-    def _check(self, other):
-        if other.m != self.m:
-            raise DimensionError("vector fields live on different spaces")
-
-    def __add__(self, other):
-        if not isinstance(other, PolyVectorField):
-            return NotImplemented
-        self._check(other)
-        return PolyVectorField._of(
-            self.c0 + other.c0, self.c1 + other.c1, self.c2 + other.c2
-        )
-
-    def __sub__(self, other):
-        if not isinstance(other, PolyVectorField):
-            return NotImplemented
-        self._check(other)
-        return PolyVectorField._of(
-            self.c0 - other.c0, self.c1 - other.c1, self.c2 - other.c2
-        )
-
-    def __neg__(self):
-        return PolyVectorField._of(-self.c0, -self.c1, -self.c2)
-
-    def scale(self, s):
-        s = float(s)
-        return PolyVectorField._of(s * self.c0, s * self.c1, s * self.c2)
-
-    def max_abs(self):
-        return float(
-            max(np.abs(a).max(initial=0.0) for a in (self.c0, self.c1, self.c2))
-        )
-
-    def max_abs_quadratic(self):
-        return float(np.abs(self.c2).max(initial=0.0))
+        return [Poly._of(self.c0[k], self.c1[k], self.c2[k]) for k in range(self.m)]
 
     @property
     def is_affine(self):
@@ -459,14 +443,6 @@ class PolyVectorField:
     def jacobian(self, x):
         x = np.asarray(x, dtype=float)
         return self.c1 + 2.0 * (self.c2 @ x)
-
-    def snap(self, tol):
-        return PolyVectorField._of(*_snapped(self, tol))
-
-    def allclose(self, other, tol=1e-12):
-        if other.m != self.m:
-            return False
-        return _max_diff(self, other) <= tol
 
     def directional_derivative(self, f):
         """The function ``Z(f) = sum_k Z^k  df/dx_k`` for degree <= 1 ``f``.
@@ -524,24 +500,10 @@ class PolyVectorField:
         return "\n".join(lines)
 
 
-def _snapped(field, tol):
-    """Coefficient arrays of ``field`` with entries below ``tol`` zeroed."""
-    return tuple(
-        np.where(np.abs(a) > tol, a, 0.0) for a in (field.c0, field.c1, field.c2)
-    )
-
-
-def _max_diff(a, b):
-    return max(
-        float(np.abs(x - y).max(initial=0.0))
-        for x, y in ((a.c0, b.c0), (a.c1, b.c1), (a.c2, b.c2))
-    )
-
-
 _SYMMETRIES = ("antisymmetric", "symmetric", "none")
 
 
-class PolyTensorField:
+class PolyTensorField(_Stack):
     """Rank-2 contravariant tensor field with Poly components ``T^{jk}``,
     stored as the arrays ``c0 (m, m)``, ``c1 (m, m, m)`` and
     ``c2 (m, m, m, m)``.
@@ -549,31 +511,19 @@ class PolyTensorField:
     A stack of ``B`` fields of one symmetry holds the same arrays with a
     leading batch axis (``c0 (B, m, m)`` and so on); ``lie_derivative``,
     ``flatten_field`` and ``unflatten_field`` of the contraction module
-    accept such stacks.
+    accept such stacks.  A sum or difference of fields of different
+    symmetry has symmetry ``"none"``.
     """
 
-    __slots__ = ("m", "symmetry", "c0", "c1", "c2")
+    __slots__ = ("symmetry",)
 
     def __init__(self, components, symmetry="none", validate_tol=1e-10):
-        m = len(components)
-        rows = []
-        for row in components:
-            row = list(row)
-            if len(row) != m:
-                raise DimensionError("component grid must be square")
-            for p in row:
-                if not isinstance(p, Poly) or p.m != m:
-                    raise DimensionError("all components must be Poly in m variables")
-            rows.append(row)
-        self._set(
-            symmetry,
-            np.array([[p.c0 for p in row] for row in rows], dtype=float).reshape(m, m),
-            np.array([[p.c1 for p in row] for row in rows], dtype=float).reshape(m, m, m),
-            np.array([[p.c2 for p in row] for row in rows], dtype=float).reshape(
-                m, m, m, m
-            ),
-            validate_tol,
-        )
+        rows = [list(row) for row in components]
+        m = len(rows)
+        if any(len(row) != m for row in rows):
+            raise DimensionError("component grid must be square")
+        polys = [p for row in rows for p in row]
+        self._set(symmetry, *_stack_polys(polys, (m, m)), validate_tol)
 
     def _set(self, symmetry, c0, c1, c2, validate_tol=None):
         if symmetry not in _SYMMETRIES:
@@ -597,6 +547,10 @@ class PolyTensorField:
         T = cls.__new__(cls)
         T._set(symmetry, c0, c1, c2, validate_tol)
         return T
+
+    def _new(self, c0, c1, c2, other=None):
+        same = other is None or other.symmetry == self.symmetry
+        return self._of(c0, c1, c2, self.symmetry if same else "none")
 
     @classmethod
     def from_arrays(cls, c0, c1, c2=None, symmetry="none", validate_tol=1e-10):
@@ -633,55 +587,11 @@ class PolyTensorField:
         )
 
     def component(self, j, k):
-        return Poly._view(self.c0[j, k], self.c1[j, k], self.c2[j, k])
+        return Poly._of(self.c0[j, k], self.c1[j, k], self.c2[j, k])
 
     @property
     def components(self):
         return [[self.component(j, k) for k in range(self.m)] for j in range(self.m)]
-
-    def __call__(self, x):
-        """Value ``(m, m)`` at a point ``(m,)``, or values ``(N, m, m)``
-        over points ``(N, m)``."""
-        m = self.m
-        vals = _values(
-            self.c0.reshape(m * m),
-            self.c1.reshape(m * m, m),
-            self.c2.reshape(m * m, m, m),
-            x,
-        )
-        return vals.reshape(vals.shape[:-1] + (m, m))
-
-    def __add__(self, other):
-        if not isinstance(other, PolyTensorField):
-            return NotImplemented
-        if other.m != self.m:
-            raise DimensionError("tensor fields live on different spaces")
-        symmetry = self.symmetry if self.symmetry == other.symmetry else "none"
-        return PolyTensorField._of(
-            self.c0 + other.c0, self.c1 + other.c1, self.c2 + other.c2, symmetry
-        )
-
-    def __sub__(self, other):
-        return self + other.scale(-1.0)
-
-    def scale(self, s):
-        s = float(s)
-        return PolyTensorField._of(
-            s * self.c0, s * self.c1, s * self.c2, self.symmetry
-        )
-
-    def max_abs(self):
-        return float(
-            max(np.abs(a).max(initial=0.0) for a in (self.c0, self.c1, self.c2))
-        )
-
-    def allclose(self, other, tol=1e-12):
-        if other.m != self.m:
-            return False
-        return _max_diff(self, other) <= tol
-
-    def snap(self, tol):
-        return PolyTensorField._of(*_snapped(self, tol), self.symmetry)
 
     def contract(self, u, v):
         """Scalar field ``T(u, v) = sum_{jk} u_j v_k T^{jk}`` for constant
@@ -714,11 +624,22 @@ class PolyTensorField:
 
     @classmethod
     def from_dict(cls, data):
+        """Inverse of :meth:`to_dict`; a missing coefficient is zero."""
         m = data["m"]
-        comps = [
-            [Poly.from_dict(d, m) for d in row] for row in data["components"]
-        ]
-        return cls(comps, symmetry=data.get("symmetry", "none"), validate_tol=None)
+        comps = [d for row in data["components"] for d in row]
+        if len(comps) != m * m:
+            raise DimensionError("component grid must be square")
+
+        def stacked(key, shape):
+            return np.reshape([d.get(key, np.zeros(shape)) for d in comps], (m, m) + shape)
+
+        return cls.from_arrays(
+            stacked("c0", ()),
+            stacked("c1", (m,)),
+            stacked("c2", (m, m)),
+            symmetry=data.get("symmetry", "none"),
+            validate_tol=None,
+        )
 
     def __repr__(self):
         return f"PolyTensorField(m={self.m}, symmetry={self.symmetry!r})"

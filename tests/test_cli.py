@@ -434,6 +434,22 @@ class TestScenarioFiles:
         assert np.abs(v1 - [-4 * x[0], -4 * x[1], 0.0]).max() < 1e-12
         assert np.abs(v2 - [-6 * x[0], -6 * x[1], 0.0]).max() < 1e-12
 
+    def test_library_params_beat_file_parameter(self, tmp_path):
+        scen = {
+            "name": "tuned",
+            "model": "phase-damping",
+            "parameters": {"gamma": 2.0, "points": 20},
+            "outputs": ["field-samples"],
+        }
+        p = self._write(tmp_path / "tuned.json", scen)
+        _, lines = run_scenario(p, out_dir=str(tmp_path), params={"gamma": 3.0})
+        assert "(20 samples)" in lines[-1]
+        rows = _read_rows(tmp_path / "tuned_field_generator.csv")[1:]
+        for row in rows:
+            x = np.array([float(v) for v in row[:3]])
+            v = np.array([float(v) for v in row[3:]])
+            assert np.abs(v - [-6 * x[0], -6 * x[1], 0.0]).max() < 1e-12
+
 
 class TestExitCodes:
     def test_unknown_builtin(self, capsys):

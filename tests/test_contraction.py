@@ -220,10 +220,10 @@ class TestFlowFamily:
         t_end, dt = 0.5, 1e-4
         steps = int(round(t_end / dt))
         for _ in range(steps):
-            k1 = -M @ v
-            k2 = -M @ (v + 0.5 * dt * k1)
-            k3 = -M @ (v + 0.5 * dt * k2)
-            k4 = -M @ (v + dt * k3)
+            k1 = -(M @ v)
+            k2 = -(M @ (v + 0.5 * dt * k1))
+            k3 = -(M @ (v + 0.5 * dt * k2))
+            k4 = -(M @ (v + dt * k3))
             v = v + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
         assert np.abs(v - fam.flat_at(t_end)).max() < 1e-6
 

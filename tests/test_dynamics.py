@@ -235,6 +235,21 @@ class TestModelValidation:
         with pytest.raises(DimensionError):
             LindbladModel(basis2, H=None, V=[])
 
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda b: lindblad_vf(model_phase_damping(float("nan"))),
+            lambda b: model_massive_decoherence(3, float("nan")),
+            lambda b: model_gisin(2, b.observable([0.0, float("nan"), 0.0, 1.0])),
+            lambda b: hamiltonian_vf(b, [0.0, np.inf, 0.0, 0.0]),
+        ],
+        ids=["phase-damping", "massive-decoherence", "gisin", "hamiltonian"],
+    )
+    def test_rejects_non_finite_coefficients(self, build, basis2):
+        # a NaN compares false against the snap cut and would become zero
+        with pytest.raises(InvariantViolationError):
+            build(basis2)
+
 
 class TestFlows:
     def test_affine_flow_map_matches_series(self, rng):

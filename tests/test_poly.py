@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from geomstates import (
     DegreeOverflowError,
     DimensionError,
+    InvariantViolationError,
     Poly,
     PolyTensorField,
     PolyVectorField,
@@ -304,6 +305,110 @@ class TestArrayBackedEvaluation:
             c0 - c0.T, c1 - c1.transpose(1, 0, 2), symmetry="antisymmetric"
         )
         assert anti.component(1, 0).allclose(anti.component(0, 1).scale(-1.0), 0.0)
+
+
+# ------------------------------------------- operations of the shared base
+
+_PICK = {"poly": (0, 0), "vector": (0,), "tensor": ()}
+
+
+def _stack_of(kind, c0, c1, c2):
+    """A Poly, vector field or tensor field built from the leading slices of
+    ``(m, m)``-led coefficient arrays, and the arrays it should hold."""
+    i = _PICK[kind]
+    want = (c0[i], c1[i], 0.5 * (c2[i] + np.swapaxes(c2[i], -1, -2)))
+    if kind == "poly":
+        return Poly(c1.shape[-1], c0[i], c1[i], c2[i]), want
+    if kind == "vector":
+        return PolyVectorField.from_arrays(c0[i], c1[i], c2[i]), want
+    return PolyTensorField.from_arrays(c0[i], c1[i], c2[i]), want
+
+
+class TestSharedStackOperations:
+    """The arithmetic, norms and comparisons that ``Poly``,
+    ``PolyVectorField`` and ``PolyTensorField`` share, against array
+    arithmetic on the coefficients."""
+
+    @pytest.mark.parametrize("kind", list(_PICK))
+    def test_matches_array_arithmetic(self, kind, rng):
+        a, A = _stack_of(kind, *_random_stack(rng, (4, 4), 4, True))
+        b, B = _stack_of(kind, *_random_stack(rng, (4, 4), 4, True))
+        # the magnitude of an entry, so that an entry sits on the cut
+        cut = float(np.sort(np.abs(A[1]), axis=None)[-2])
+        cases = [
+            (a + b, [x + y for x, y in zip(A, B)]),
+            (a - b, [x - y for x, y in zip(A, B)]),
+            (-a, [-x for x in A]),
+            (a.scale(-1.75), [-1.75 * x for x in A]),
+            (a.snap(cut), [np.where(np.abs(x) > cut, x, 0.0) for x in A]),
+        ]
+        for got, want in cases:
+            assert type(got) is type(a) and got.m == a.m
+            for g, w in zip((got.c0, got.c1, got.c2), want):
+                assert np.array_equal(g, w)
+        assert a.max_abs() == max(np.abs(x).max() for x in A)
+        assert a.max_abs_quadratic() == np.abs(A[2]).max()
+        diff = max(np.abs(x - y).max() for x, y in zip(A, B))
+        assert a.allclose(b, diff) and not a.allclose(b, 0.999 * diff)
+        assert a.allclose(a, 0.0)
+        assert not a.is_zero() and a.is_zero(a.max_abs())
+        assert a.scale(0.0).is_zero() and (a - a).is_zero()
+
+    @pytest.mark.parametrize("kind", list(_PICK))
+    def test_other_kind_or_space_raises(self, kind, rng):
+        a, _ = _stack_of(kind, *_random_stack(rng, (3, 3), 3, True))
+        small, _ = _stack_of(kind, *_random_stack(rng, (2, 2), 2, True))
+        for op in (lambda p, q: p + q, lambda p, q: p - q, lambda p, q: p.allclose(q)):
+            with pytest.raises(DimensionError):
+                op(a, small)
+            for other in _PICK.keys() - {kind}:
+                o, _ = _stack_of(other, *_random_stack(rng, (3, 3), 3, True))
+                with pytest.raises(TypeError):
+                    op(a, o)
+
+    def test_poly_scalar_arithmetic(self, rng):
+        p = _rand_poly(rng, 3)
+        x = rng.normal(size=3)
+        assert (p + 1.0)(x) == pytest.approx(p(x) + 1.0, rel=1e-14)
+        assert (1.0 + p)(x) == pytest.approx(p(x) + 1.0, rel=1e-14)
+        assert (p - 2)(x) == pytest.approx(p(x) - 2.0, rel=1e-14)
+        assert (1.0 - p)(x) == pytest.approx(1.0 - p(x), rel=1e-14)
+        assert (2.0 * p)(x) == pytest.approx(2.0 * p(x), rel=1e-14)
+
+    def test_tensor_symmetry_of_results(self, rng):
+        c0, c1, _ = _random_stack(rng, (3, 3), 3, False)
+        anti = PolyTensorField.from_arrays(
+            c0 - c0.T, c1 - c1.transpose(1, 0, 2), symmetry="antisymmetric"
+        )
+        sym = PolyTensorField.from_arrays(
+            c0 + c0.T, c1 + c1.transpose(1, 0, 2), symmetry="symmetric"
+        )
+        for T in (anti, sym):
+            for out in (-T, T.scale(2.0), T.snap(0.5), T + T, T - T.scale(0.5)):
+                assert out.symmetry == T.symmetry
+        assert (anti + sym).symmetry == "none"
+        assert (sym - anti).symmetry == "none"
+
+    def test_non_finite_coefficients_raise(self):
+        with pytest.raises(InvariantViolationError):
+            Poly(2, float("nan"))
+        with pytest.raises(InvariantViolationError):
+            Poly(2, c2=[[0.0, np.inf], [0.0, 0.0]])
+        with pytest.raises(InvariantViolationError):
+            PolyVectorField.from_arrays(np.zeros(2), [[0.0, np.nan], [0.0, 0.0]])
+        with pytest.raises(InvariantViolationError):
+            PolyTensorField.from_arrays(np.full((2, 2), -np.inf), np.zeros((2, 2, 2)))
+
+    def test_list_constructors_match_from_arrays(self, rng):
+        c0, c1, c2 = _random_stack(rng, (3, 3), 3, True)
+        T = PolyTensorField.from_arrays(c0, c1, c2)
+        Z = PolyVectorField.from_arrays(c0[0], c1[0], c2[0])
+        assert PolyTensorField(T.components).allclose(T, 0.0)
+        assert PolyVectorField(Z.components).allclose(Z, 0.0)
+        with pytest.raises(DimensionError):
+            PolyVectorField(Z.components[:2])
+        with pytest.raises(DimensionError):
+            PolyTensorField([row[:2] for row in T.components])
 
 
 class TestComposeAffine:
