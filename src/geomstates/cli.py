@@ -25,7 +25,8 @@ artifacts into an output directory:
     The transported tensor fields on a coarse time grid.
 
 Artifacts are deterministic: the same scenario with the same seed
-produces byte-identical files.  The sampling seed defaults to 7 and can
+produces byte-identical files.  CSV numbers are written ``%.17g``, JSON
+floats as their shortest ``repr``.  The sampling seed defaults to 7 and can
 be overridden with the environment variable ``GEOM_SEED``.  Exit codes:
 0 on success, 1 when a model invariant fails, 2 on usage errors
 (unknown scenario, malformed file).
@@ -70,6 +71,7 @@ from .errors import GeomstatesError, InvariantViolationError
 from .poly import PolyVectorField
 from .states import _min_eigenvalues, max_bloch_radius
 from .tensors import (
+    _csv_lines,
     field_csv_rows,
     gradient_vf,
     hamiltonian_vf,
@@ -317,52 +319,60 @@ def sample_states(basis, count, seed, anchors=(), slice_coords=None):
 # -------------------------------------------------------------- serializers
 
 
-def _json_text(obj, pad="\n", cache=None):
+def _json_text(obj):
     """``obj`` as ``json.dumps(obj, indent=2, sort_keys=True,
     allow_nan=False)`` writes it, in one pass that also takes numpy arrays
-    and scalars, and complex values as ``[re, im]``.  ``pad`` is the line
+    and scalars, and complex values as ``[re, im]``."""
+    parts = []
+    _json_parts(obj, "\n", {}, parts)
+    return "".join(parts)
+
+
+def _json_parts(obj, pad, cache, parts):
+    """Append the text of ``obj`` to the list ``parts``.  ``pad`` is the line
     break and indentation of the enclosing level; ``cache`` holds the text
     of float arrays (see :func:`_array_text`) within one document."""
-    if cache is None:
-        cache = {}
     if isinstance(obj, np.ndarray):
         if obj.dtype == np.float64 and obj.ndim:
-            return _array_text(obj, pad, cache)
-        return _json_text(obj.tolist(), pad, cache)
+            parts.append(_array_text(obj, pad, cache))
+            return
+        obj = obj.tolist()
     inner = pad + "  "
-    if isinstance(obj, (list, tuple)):
-        if not obj:
-            return "[]"
+    if isinstance(obj, (list, tuple, dict)) and not obj:
+        parts.append("{}" if isinstance(obj, dict) else "[]")
+    elif isinstance(obj, (list, tuple)):
         if set(map(type, obj)) == {float} and all(map(isfinite, obj)):
-            texts = map(float.__repr__, obj)
+            parts.append("[" + inner + ("," + inner).join(map(float.__repr__, obj)))
         else:
-            texts = [_json_text(v, inner, cache) for v in obj]
-        return "[" + inner + ("," + inner).join(texts) + pad + "]"
-    if isinstance(obj, dict):
-        if not obj:
-            return "{}"
+            for i, v in enumerate(obj):
+                parts.append(("," if i else "[") + inner)
+                _json_parts(v, inner, cache, parts)
+        parts.append(pad + "]")
+    elif isinstance(obj, dict):
         items = sorted({str(k): v for k, v in obj.items()}.items(), key=itemgetter(0))
-        texts = [encode_basestring_ascii(k) + ": " + _json_text(v, inner, cache)
-                 for k, v in items]
-        return "{" + inner + ("," + inner).join(texts) + pad + "}"
-    if isinstance(obj, str):
-        return encode_basestring_ascii(obj)
-    if obj is None:
-        return "null"
+        for i, (k, v) in enumerate(items):
+            parts.append(("," if i else "{") + inner + encode_basestring_ascii(k) + ": ")
+            _json_parts(v, inner, cache, parts)
+        parts.append(pad + "}")
+    elif isinstance(obj, str):
+        parts.append(encode_basestring_ascii(obj))
+    elif obj is None:
+        parts.append("null")
     # bool before int: True is an int too
-    if isinstance(obj, (bool, np.bool_)):
-        return "true" if obj else "false"
-    if isinstance(obj, (float, np.floating)):
+    elif isinstance(obj, (bool, np.bool_)):
+        parts.append("true" if obj else "false")
+    elif isinstance(obj, (float, np.floating)):
         if not isfinite(obj):
             raise ValueError(
                 f"out of range float values are not JSON compliant: {obj!r}"
             )
-        return float.__repr__(float(obj))
-    if isinstance(obj, (int, np.integer)):
-        return int.__repr__(int(obj))
-    if isinstance(obj, (complex, np.complexfloating)):
-        return _json_text([obj.real, obj.imag], pad, cache)
-    raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+        parts.append(float.__repr__(float(obj)))
+    elif isinstance(obj, (int, np.integer)):
+        parts.append(int.__repr__(int(obj)))
+    elif isinstance(obj, (complex, np.complexfloating)):
+        _json_parts([obj.real, obj.imag], pad, cache, parts)
+    else:
+        raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
 
 
 def _array_text(a, pad, cache):
@@ -506,8 +516,8 @@ def _write_text(path, text):
     path.write_text(text, encoding="utf-8")
 
 
-def _write_csv(path, rows):
-    _write_text(path, "\n".join(",".join(row) for row in rows) + "\n")
+def _write_csv(path, lines):
+    _write_text(path, "\n".join(lines) + "\n")
 
 
 def _write_json(path, obj):
@@ -751,16 +761,8 @@ def run_scenario(target, out_dir="geomstates-out", params=None, report=False):
         traj = integrate(
             setup.generator, state0, merged["t_end"], dt=merged["dt"]
         )
-        names = (
-            ["t"]
-            + [f"x_{j + 1}" for j in range(setup.basis.m)]
-            + ["purity"]
-        )
-        rows = [names]
-        purities = traj.purities()
-        for i, t in enumerate(traj.times):
-            vals = np.concatenate(([t], traj.xs[i], [purities[i]]))
-            rows.append([f"{v:.17g}" for v in vals])
+        names = ["t"] + [f"x_{j + 1}" for j in range(setup.basis.m)] + ["purity"]
+        rows = _csv_lines(names, np.column_stack((traj.times, traj.xs, traj.purities())))
         p = out / f"{base}_trajectory.csv"
         _write_csv(p, rows)
         lines.append(f"wrote {p} ({len(rows) - 1} samples, {traj.method})")

@@ -113,12 +113,15 @@ def state_from_matrix(rho, basis=None, trace_tol=1e-10, psd_tol=1e-8):
 def _density_matrices(basis, X):
     """Stack of the density matrices ``I/n + (1/2) sum_j x_j sigma_j`` of
     the rows ``x`` of an ``(N, m)`` array, summed term by term in ``j``
-    order."""
+    order over the columns that are nonzero in some row.
+
+    The matrices are bitwise those of the full sum: ``I/n`` holds +0 in
+    every zero entry, a skipped term adds only ±0, and ``+0 + (-0) = +0``.
+    """
     X = np.asarray(X, dtype=float)
-    rho = np.broadcast_to(np.eye(basis.n, dtype=complex) / basis.n,
-                          (X.shape[0], basis.n, basis.n))
-    for j in range(1, basis.dim):
-        rho = rho + 0.5 * X[:, j - 1, None, None] * basis.elements[j]
+    rho = np.repeat(np.eye(basis.n, dtype=complex)[None] / basis.n, X.shape[0], axis=0)
+    for j in np.flatnonzero(X.any(axis=0)):
+        rho += 0.5 * X[:, j, None, None] * basis.elements[j + 1]
     return rho
 
 

@@ -185,16 +185,23 @@ def complex_structure_at(state, rank_rtol=1e-10):
 
 
 def field_csv_rows(vf, points, names=None):
-    """Rows for the CSV serialization of a vector field sampled at points.
-
-    Header: ``x_1..x_m, v_1..v_m``; one row per sample point, printed by
-    the caller with full float precision.
-    """
+    """CSV lines of a vector field sampled at points: the header
+    ``x_1..x_m, v_1..v_m``, then one line per point with every number
+    written ``%.17g`` (see :func:`_csv_lines`)."""
     m = vf.m
     if names is None:
         names = [f"x_{j + 1}" for j in range(m)] + [f"v_{j + 1}" for j in range(m)]
     X = np.asarray(points, dtype=float).reshape(-1, m)
-    fmt = "{:.17g}".format
-    return [names] + [
-        list(map(fmt, row)) for row in np.concatenate((X, vf(X)), axis=1).tolist()
-    ]
+    return _csv_lines(names, np.concatenate((X, vf(X)), axis=1))
+
+
+def _csv_lines(names, values):
+    """CSV lines: ``names``, then one line per row of the 2-D float array
+    ``values``.  Numbers are written ``%.17g`` (17 significant digits, an
+    exact round trip), the text of ``"{:.17g}".format``; one template
+    covers the whole array."""
+    rows, k = values.shape
+    if not rows:
+        return [",".join(names)]
+    template = "\n".join([",".join(["%.17g"] * k)] * rows)
+    return [",".join(names)] + (template % tuple(values.ravel().tolist())).split("\n")

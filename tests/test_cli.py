@@ -16,12 +16,17 @@ from geomstates import (
     PolyTensorField,
     analyze_contraction,
     build_basis,
+    gradient_vf,
+    hamiltonian_vf,
+    integrate,
     lindblad_vf,
     max_bloch_radius,
+    model_gisin,
     model_phase_damping,
     model_three_level_decay,
     poisson_field,
     pushforward_affine,
+    state_from_coords,
     symmetric_field,
 )
 from geomstates.cli import (
@@ -557,6 +562,70 @@ class TestExitCodes:
         assert main(["run", "phase-damping", "--out", str(out), flag, value]) == 1
         assert capsys.readouterr().err.startswith("error: parameter")
         assert not out.exists()
+
+
+def _per_value_csv(names, rows):
+    """CSV text written one ``{:.17g}`` value at a time."""
+    lines = [",".join(names)] + [",".join(f"{v:.17g}" for v in row) for row in rows]
+    return "\n".join(lines) + "\n"
+
+
+def _xv_names(m):
+    return [f"x_{j + 1}" for j in range(m)] + [f"v_{j + 1}" for j in range(m)]
+
+
+class TestCsvArtifacts:
+    """Field and trajectory files against references formatted value by
+    value, at the smallest grids: no rows, and the first anchor alone."""
+
+    def _fields(self, name):
+        if name == "bloch-field":
+            basis = build_basis(2)
+            obs = basis.observable([0.0, 0.0, 0.0, 1.0])
+            return {"hamiltonian": hamiltonian_vf(basis, obs),
+                    "gradient_descent": -gradient_vf(basis, obs)}
+        return {"generator": lindblad_vf(model_three_level_decay())}
+
+    @pytest.mark.parametrize("name", ["bloch-field", "three-level-decay"])
+    @pytest.mark.parametrize("how", ["flag-0", "flag-1", "file-0"])
+    def test_smallest_grids(self, tmp_path, name, how):
+        out = tmp_path / "out"
+        if how == "file-0":
+            scen = tmp_path / "scen.json"
+            scen.write_text(json.dumps({"name": name, "model": name,
+                                        "parameters": {"points": 0}}))
+            assert main(["run", str(scen), "--out", str(out)]) == 0
+        else:
+            points = how[-1]
+            assert main(["run", name, "--out", str(out), "--points", points]) == 0
+        for label, vf in self._fields(name).items():
+            text = (out / f"{name.replace('-', '_')}_field_{label}.csv").read_text()
+            rows = []
+            if how == "flag-1":
+                # the origin anchor, where the field is its constant part
+                x = np.zeros(vf.m)
+                rows = [np.concatenate((x, vf(x)))]
+            assert text == _per_value_csv(_xv_names(vf.m), rows)
+            if not rows:
+                assert text == ",".join(_xv_names(vf.m)) + "\n"
+
+    @pytest.mark.parametrize("name, method", [("phase-damping", "exact-affine"),
+                                              ("gisin", "rk45")])
+    def test_trajectory_matches_per_row_format(self, tmp_path, name, method):
+        assert main(["run", name, "--out", str(tmp_path), "--points", "0"]) == 0
+        basis = build_basis(2)
+        if name == "gisin":
+            Z = model_gisin(basis, basis.observable([0.0, 0.0, 0.0, 1.0]))
+        else:
+            Z = lindblad_vf(model_phase_damping(1.0))
+        traj = integrate(Z, state_from_coords(basis, np.array([0.3, 0.3, 0.8])), 5.0)
+        assert traj.method == method
+        # reference: one row per time step, formatted one value at a time
+        purities = traj.purities()
+        rows = [np.concatenate(([t], traj.xs[i], [purities[i]]))
+                for i, t in enumerate(traj.times)]
+        want = _per_value_csv(["t", "x_1", "x_2", "x_3", "purity"], rows)
+        assert (tmp_path / f"{name.replace('-', '_')}_trajectory.csv").read_text() == want
 
 
 class TestTensorFamily:

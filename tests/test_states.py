@@ -161,3 +161,34 @@ class TestBatchedPositivity:
             assert low[i].tobytes() == want.tobytes()
         # the rows just outside the body do fail a zero-slack test
         assert (low[2::4][:6] < 0).all() and (low[4::4][:6] > 0).all()
+
+
+class TestSlicePositivity:
+    """Stacks whose rows use one or two coordinates, as the slice sampler
+    draws them: the matrices skip the all-zero columns and stay bitwise
+    those of the full sum."""
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_few_live_columns_match_per_point(self, n, rng):
+        from geomstates.states import _density_matrices, _min_eigenvalues
+
+        basis = build_basis(n)
+        R = max_bloch_radius(n)
+        stacks = [np.full((3, basis.m), -0.0)]  # no live column at all
+        for live in ([0], [basis.m - 1], [0, 1],
+                     sorted(rng.choice(basis.m, 2, replace=False))):
+            X = np.zeros((40, basis.m))
+            X[:, live] = rng.uniform(-R, R, size=(40, len(live)))
+            X[::5] = 0.0  # all-zero rows
+            X[1::7, live[0]] = -0.0
+            # negative zeros in the columns that are skipped
+            X[2::3] = np.where(X[2::3] == 0.0, -0.0, X[2::3])
+            stacks += [X, -np.abs(X)]  # live columns with negative entries only
+        for X in stacks:
+            mats = _density_matrices(basis, X)
+            low = _min_eigenvalues(basis, X)
+            assert mats.shape == (len(X), n, n)
+            for i, x in enumerate(X):
+                ref = per_point_density_matrix(basis, x)
+                assert mats[i].tobytes() == ref.tobytes()
+                assert low[i].tobytes() == np.linalg.eigvalsh(ref).min().tobytes()

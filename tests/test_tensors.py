@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from geomstates import (
     DegeneratePointError,
@@ -22,6 +23,7 @@ from geomstates import (
     state_from_matrix,
     symmetric_field,
 )
+from geomstates.tensors import _csv_lines
 from conftest import random_hermitian, random_state_coords
 
 
@@ -231,8 +233,48 @@ class TestCsv:
         X = hamiltonian_vf(basis2, np.array([0.0, 0.0, 1.0]))
         pts = [np.array([0.25, 0.0, 0.0]), np.array([0.0, 0.5, 0.0])]
         rows = field_csv_rows(X, pts)
-        assert rows[0] == ["x_1", "x_2", "x_3", "v_1", "v_2", "v_3"]
+        assert rows[0].split(",") == ["x_1", "x_2", "x_3", "v_1", "v_2", "v_3"]
         assert len(rows) == 3
         # field of sigma_3: (x2, -x1, 0)
-        assert rows[1][3:] == ["0", "-0.25", "0"]
-        assert float(rows[2][3]) == 0.5
+        assert rows[1].split(",")[3:] == ["0", "-0.25", "0"]
+        assert float(rows[2].split(",")[3]) == 0.5
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.one_of(
+            st.tuples(st.just(0), st.integers(0, 6)),
+            st.tuples(st.just(1), st.integers(0, 6)),
+            st.tuples(st.integers(0, 12), st.just(1)),
+            st.tuples(st.integers(0, 12), st.integers(1, 4).map(lambda m: 2 * m)),
+        ),
+        st.data(),
+    )
+    def test_lines_match_per_value_format(self, shape, data):
+        pool = st.sampled_from(
+            [-0.0, 0.0, 5e-324, 1.7976931348623157e308, -1.7976931348623157e308,
+             1e16, 0.1, 1.0, -3.0, 2.0 ** 53]
+        ) | st.floats(allow_nan=False, allow_infinity=False) | st.integers(
+            -(10 ** 17), 10 ** 17
+        ).map(float)
+        vals = data.draw(st.lists(pool, min_size=shape[0] * shape[1],
+                                  max_size=shape[0] * shape[1]))
+        values = np.array(vals, dtype=float).reshape(shape)
+        names = [f"c_{j}" for j in range(shape[1])]
+        want = [",".join(names)] + [
+            ",".join("{:.17g}".format(v) for v in row) for row in values.tolist()
+        ]
+        assert _csv_lines(names, values) == want
+
+    @pytest.mark.parametrize("count", [0, 1, 7, 200])
+    def test_field_rows_match_per_value_rows(self, basis3, rng, count):
+        Y = gradient_vf(basis3, rng.normal(size=8))
+        pts = rng.uniform(-0.5, 0.5, size=(count, 8))
+        pts[::3, 2] = -0.0
+        pts[1::4] = 0.0
+        # reference: one `{:.17g}` field per value, rows joined with commas
+        names = [f"x_{j + 1}" for j in range(8)] + [f"v_{j + 1}" for j in range(8)]
+        old = [names] + [
+            list(map("{:.17g}".format, row))
+            for row in np.concatenate((pts, Y(pts)), axis=1).tolist()
+        ]
+        assert field_csv_rows(Y, pts) == [",".join(row) for row in old]
