@@ -67,7 +67,7 @@ import numpy as np
 from scipy.stats import qmc
 
 from .algebra import build_basis
-from .errors import GeomstatesError, InvariantViolationError
+from .errors import GeomstatesError, InvariantViolationError, _check_memory
 from .poly import PolyVectorField
 from .states import _min_eigenvalues, max_bloch_radius
 from .tensors import (
@@ -280,7 +280,8 @@ def sample_states(basis, count, seed, anchors=(), slice_coords=None):
     filtered by positivity — over the full coordinate ball for two-level
     systems, over a two-coordinate slice otherwise.  Positivity is tested
     in batches, one call per Halton draw, keeping accepted points in draw
-    order.
+    order.  Raises :class:`InvariantViolationError` before drawing when the
+    first batch and the grid would not fit in memory.
     """
     m, n = basis.m, basis.n
     if count < 0:
@@ -300,8 +301,16 @@ def sample_states(basis, count, seed, anchors=(), slice_coords=None):
         ):
             raise InvariantViolationError("slice coordinates out of range")
     R = max_bloch_radius(n)
-    sampler = qmc.Halton(d=len(cols), scramble=True, seed=int(seed))
     need = count - len(pts)
+    # per drawn point: the Halton sample and its transpose, x and its
+    # accepted copy, and for the positivity test a complex density matrix,
+    # one temporary of its size and its eigenvalues; then the grid, twice
+    draw = max(128, 2 * need)
+    _check_memory(
+        8 * draw * (2 * len(cols) + 2 * m + 4 * n * n + n) + 16 * count * m,
+        f"a grid of {count} sampled states",
+    )
+    sampler = qmc.Halton(d=len(cols), scramble=True, seed=int(seed))
     blocks = [np.reshape(pts, (-1, m))]
     for _ in range(1000):
         if need <= 0:
@@ -319,12 +328,13 @@ def sample_states(basis, count, seed, anchors=(), slice_coords=None):
 # -------------------------------------------------------------- serializers
 
 
-def _json_text(obj):
+def _json_text(obj, end=""):
     """``obj`` as ``json.dumps(obj, indent=2, sort_keys=True,
-    allow_nan=False)`` writes it, in one pass that also takes numpy arrays
-    and scalars, and complex values as ``[re, im]``."""
+    allow_nan=False)`` writes it, followed by ``end``, in one pass that also
+    takes numpy arrays and scalars, and complex values as ``[re, im]``."""
     parts = []
     _json_parts(obj, "\n", {}, parts)
+    parts.append(end)
     return "".join(parts)
 
 
@@ -521,7 +531,7 @@ def _write_csv(path, lines):
 
 
 def _write_json(path, obj):
-    _write_text(path, _json_text(obj) + "\n")
+    _write_text(path, _json_text(obj, "\n"))
 
 
 def _slug(name):

@@ -31,6 +31,10 @@ oracle for the transport; the superoperator itself serves the
 * eigenvalues with negative real part are exponentially divergent tensor
   modes, and purely imaginary ones oscillate.
 
+Every superoperator takes the same path through these classes: three sorted
+real Schur splittings, which for a diagonal matrix are permutations of its
+diagonal.
+
 When both the Poisson and the symmetric tensor fields converge, their
 limits define a *contracted* Lie-Jordan product pair on the same function
 space, generally non-isomorphic to the original one; when the flow instead
@@ -40,7 +44,6 @@ stationary limit set by restricting the static products to it.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -53,6 +56,7 @@ from .errors import (
     DimensionError,
     InvariantViolationError,
     LimitExistsError,
+    _check_memory,
 )
 from .poly import PolyTensorField, _check_cubic, _compose_affine, _sym2
 from .tensors import poisson_field, symmetric_field
@@ -243,27 +247,6 @@ class LieDerivativeSuperoperator:
     def size(self):
         return self.matrix.shape[0]
 
-    def is_diagonal(self):
-        return not np.any(self.matrix - np.diag(np.diag(self.matrix)))
-
-
-def _check_memory(nbytes, what):
-    """Raise before allocating ``nbytes`` that exceed physical memory or a
-    finite address-space limit of this process; POSIX only."""
-    if os.name != "posix":
-        return
-    import resource
-
-    avail = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
-    soft, _ = resource.getrlimit(resource.RLIMIT_AS)
-    if soft != resource.RLIM_INFINITY:
-        avail = min(avail, soft)
-    if nbytes > avail:
-        raise InvariantViolationError(
-            f"{what} needs {nbytes / 2**30:.2f} GiB of working memory; "
-            f"only {avail / 2**30:.2f} GiB are available"
-        )
-
 
 def build_superoperator(Z, symmetry):
     """Lie-derivative matrix of an affine field on one symmetry sector.
@@ -435,47 +418,78 @@ class LimitAnalysis:
 
 
 def _quasi_eigs(T):
-    """Eigenvalues of a real quasi-triangular (Schur) matrix."""
-    N = T.shape[0]
-    vals = []
-    i = 0
-    while i < N:
-        if i + 1 < N and T[i + 1, i] != 0.0:
-            vals.extend(np.linalg.eigvals(T[i : i + 2, i : i + 2]))
-            i += 2
-        else:
-            vals.append(complex(T[i, i]))
-            i += 1
-    return np.array(vals, dtype=complex)
+    """Eigenvalues of a real quasi-triangular (Schur) matrix, in diagonal
+    order: the diagonal, with each 2x2 block (a nonzero subdiagonal entry;
+    no two are adjacent) replaced by its pair."""
+    vals = np.diag(T).astype(complex)
+    pairs = np.flatnonzero(np.diag(T, -1))[:, None] + np.arange(2)
+    if pairs.size:
+        vals[pairs] = np.linalg.eigvals(T[pairs[:, :, None], pairs[:, None, :]])
+    return vals
+
+
+def _sorted_schur(M, select):
+    """Real Schur form ``M = Q T Q^T`` sorted so that the ``k`` eigenvalues
+    ``re + i im`` with ``select(re, im)`` lead; returns ``(T, Q, k)``.
+
+    A diagonal ``M`` is its own Schur form: ``T`` is then exactly the stable
+    permutation of its diagonal that puts the selected entries first, and
+    ``Q`` the permutation matrix, with no LAPACK call; ``select`` is then
+    called once, on the whole diagonal and ``im = 0.0``.
+    """
+    lam = np.diag(M)
+    if np.count_nonzero(M) == np.count_nonzero(lam):
+        keep = select(lam, 0.0)
+        order = np.argsort(~keep, kind="stable")
+        Q = np.zeros(M.shape)
+        Q[order, np.arange(lam.size)] = 1.0
+        return np.diag(lam[order]), Q, int(np.count_nonzero(keep))
+    return scipy.linalg.schur(M, output="real", sort=select)
 
 
 def _split_leading(T, Q, k, vec):
     """Spectral component of ``vec`` in the leading invariant subspace of a
     sorted real Schur form ``(T, Q, k)``.
 
-    Returns ``(lead_coords, rest_coords)``: the leading part is
+    Returns ``(lead_coords, rest_coords, Y)``: the leading part is
     ``Q[:, :k] @ lead_coords`` in full coordinates, and the complementary
     spectral part evolves under ``T[k:, k:]`` in ``rest_coords`` with
-    embedding ``v -> Q @ [Y v; v]``, ``Y`` the Sylvester coupling solution.
+    embedding ``v -> Q @ [Y v; v]``, ``Y`` the Sylvester coupling solution
+    (exactly 0 when the coupling block ``T[:k, k:]`` is).
     """
-    N = T.shape[0]
     phi = Q.T @ vec
-    if k == 0:
-        return np.zeros(0), phi, None
-    if k == N:
-        return phi, np.zeros(0), None
     T11, T12, T22 = T[:k, :k], T[:k, k:], T[k:, k:]
-    trsyl = get_lapack_funcs(("trsyl",), (T11, T22))[0]
-    x, sc, info = trsyl(T11, T22, -T12, isgn=-1)
-    if info < 0:
-        raise InvariantViolationError("Sylvester solve failed in spectral split")
-    Y = x / sc
-    lead = phi[:k] - Y @ phi[k:]
-    return lead, phi[k:], Y
+    if T12.any():
+        trsyl = get_lapack_funcs(("trsyl",), (T11, T22))[0]
+        x, sc, info = trsyl(T11, T22, -T12, isgn=-1)
+        if info < 0:
+            raise InvariantViolationError("Sylvester solve failed in spectral split")
+        Y = x / sc
+    else:
+        Y = np.zeros(T12.shape)
+    return phi[:k] - Y @ phi[k:], phi[k:], Y
 
 
-def _group_modes(block, coords, embed, m, symmetry, oscillatory=False):
-    """Eigen-modes of a small quasi-triangular cluster, grouped by value."""
+def _split(block, coords, embed, select):
+    """Split one spectral part of the tensor flow by ``select``.
+
+    A part is a triple ``(block, coords, embed)``: it evolves under the
+    quasi-triangular ``block`` in ``coords``, and ``embed`` maps such
+    coordinates to the flattened coefficient space.  Returns the leading
+    part (the eigenvalues selected) and the trailing part (the others), each
+    again such a triple; either may be empty.
+    """
+    T, Q, k = _sorted_schur(block, select)
+    lead, rest, Y = _split_leading(T, Q, k, coords)
+    return (
+        (T[:k, :k], lead, lambda v: embed(Q[:, :k] @ v)),
+        (T[k:, k:], rest, lambda v: embed(Q @ np.concatenate([Y @ v, v]))),
+    )
+
+
+def _group_modes(block, coords, embed, m, symmetry, cut, oscillatory=False):
+    """Eigen-modes of a small quasi-triangular cluster, grouped by value;
+    only the modes with amplitude above ``cut`` are returned."""
     if block.shape[0] == 0 or np.linalg.norm(coords) == 0.0:
         return []
     vals, vecs = np.linalg.eig(block)
@@ -485,7 +499,9 @@ def _group_modes(block, coords, embed, m, symmetry, oscillatory=False):
         # defective cluster: report it as a single unresolved mode
         full = embed(coords)
         nrm = float(np.linalg.norm(full))
-        direction = full / nrm if nrm > 0 else full
+        if nrm <= cut:
+            return []
+        direction = full / nrm
         lead = vals[np.argmax(-vals.real)]
         return [
             DivergentMode(
@@ -507,7 +523,7 @@ def _group_modes(block, coords, embed, m, symmetry, oscillatory=False):
         part = vecs[:, idx] @ combo[idx]
         full = embed(part.real) + 1j * embed(part.imag)
         amp = float(np.linalg.norm(full))
-        if amp == 0.0:
+        if amp <= cut:
             continue
         dirvec = full.real if np.linalg.norm(full.real) > 0 else full.imag
         nrm = float(np.linalg.norm(dirvec))
@@ -537,64 +553,6 @@ def _describe(direction, m, symmetry, top=3):
     return "  ".join(parts) if parts else "0"
 
 
-def _classify_real_diagonal(fam, zero_tol, proj_tol):
-    M = fam.superop.matrix
-    lam = np.diag(M).copy()
-    f0 = fam.flat0
-    scale = max(1.0, float(np.linalg.norm(f0)))
-    etol = zero_tol * max(1.0, float(np.abs(lam).max(initial=0.0)))
-    zero = np.abs(lam) <= etol
-    grow = (~zero) & (lam < 0.0)
-    decay = (~zero) & (lam > 0.0)
-
-    def amp(mask):
-        return float(np.linalg.norm(f0[mask]))
-
-    amplitudes = {
-        "zero": amp(zero),
-        "growing": amp(grow),
-        "oscillatory": 0.0,
-        "decaying": amp(decay),
-    }
-    m, symmetry = fam.superop.m, fam.superop.symmetry
-    modes = []
-    excited = grow & (np.abs(f0) > proj_tol * scale)
-    if np.any(excited):
-        for lv in sorted(set(np.round(lam[excited], 9))):
-            mask = excited & (np.round(lam, 9) == lv)
-            direction = np.zeros_like(f0)
-            direction[mask] = f0[mask]
-            nrm = float(np.linalg.norm(direction))
-            direction = direction / nrm
-            modes.append(
-                DivergentMode(
-                    eigenvalue=complex(lv),
-                    growth_rate=float(-lv),
-                    amplitude=nrm,
-                    direction=direction,
-                    component=_describe(direction, m, symmetry),
-                )
-            )
-        modes.sort(key=lambda md: -md.amplitude)
-        verdict = "divergent"
-        limit = limit_flat = None
-    else:
-        verdict = "limit"
-        limit_flat = np.where(zero, f0, 0.0)
-        limit = unflatten_field(limit_flat, m, symmetry)
-    return LimitAnalysis(
-        verdict=verdict,
-        limit=limit,
-        limit_flat=limit_flat,
-        modes=modes,
-        eigenvalues=lam.astype(complex),
-        amplitudes=amplitudes,
-        defect=0.0,
-        etol=etol,
-        symmetry=symmetry,
-    )
-
-
 def asymptotic_limit(fam, zero_tol=1e-8, proj_tol=1e-9):
     """Classify the ``t -> infinity`` behaviour of a tensor-flow family.
 
@@ -603,25 +561,25 @@ def asymptotic_limit(fam, zero_tol=1e-8, proj_tol=1e-9):
     * ``"limit"`` — every superoperator mode excited by the initial tensor
       either decays or lies in a semisimple zero cluster; the limit tensor
       (the zero-cluster spectral projection of the initial tensor) is
-      returned.  Components with |projection| below ``proj_tol`` relative
-      to the initial tensor norm count as unexcited.
-    * ``"divergent"`` — some exponentially growing mode is excited (or a
-      defective zero mode, which grows polynomially and is flagged so);
-      the growing modes are reported with rate, amplitude and direction.
-    * ``"oscillatory"`` — no growth, but a purely imaginary excited mode
+      returned.  Modes with amplitude below ``proj_tol`` relative to the
+      initial tensor norm count as unexcited.
+    * ``"divergent"`` — some excited mode grows exponentially (or a
+      defective zero cluster, which grows polynomially and is flagged so,
+      is excited); the excited growing modes are reported with rate,
+      amplitude and direction.
+    * ``"oscillatory"`` — no growth, but an excited purely imaginary mode
       prevents convergence; reported distinctly, not as a limit.
 
     Eigenvalue classification uses ``zero_tol`` relative to the spectral
-    scale.  The analysis is exact linear algebra on the superoperator:
-    sorted real Schur splittings peel off (1) everything decaying, (2) the
-    zero cluster, (3) the growing cluster, leaving oscillatory modes.
+    scale.  The analysis is exact linear algebra on the superoperator, one
+    path for every superoperator: three sorted real Schur splittings peel
+    off (1) everything decaying, (2) the zero cluster, (3) the growing
+    cluster, leaving the oscillatory modes.  A diagonal block is split by
+    permuting its diagonal.
     """
     sup = fam.superop
-    if sup.is_diagonal():
-        return _classify_real_diagonal(fam, zero_tol, proj_tol)
     M = sup.matrix
     f0 = fam.flat0
-    N = M.shape[0]
     m, symmetry = sup.m, sup.symmetry
     scale = max(1.0, float(np.linalg.norm(f0)))
     spec_scale = max(
@@ -634,87 +592,29 @@ def asymptotic_limit(fam, zero_tol=1e-8, proj_tol=1e-9):
     )
     etol = zero_tol * spec_scale
 
-    # level 1: non-decaying spectrum leading, pure decay trailing
-    T, Q, k1 = scipy.linalg.schur(
-        M, output="real", sort=lambda re, im: re <= etol
-    )
-    eigenvalues = _quasi_eigs(T)
-    w, _, _ = _split_leading(T, Q, k1, f0)
-    Z1 = Q[:, :k1]
-    decay_amp = float(np.linalg.norm(f0 - Z1 @ w)) if k1 else float(
-        np.linalg.norm(f0)
-    )
+    live, decay = _split(M, f0, lambda v: v, lambda re, im: re <= etol)
+    zero, rest = _split(*live, lambda re, im: re * re + im * im <= etol * etol)
+    grow, osc = _split(*rest, lambda re, im: re < -etol)
+    eigenvalues = np.concatenate([_quasi_eigs(live[0]), _quasi_eigs(decay[0])])
+    v_zero = zero[2](zero[1])
+    defect = float(np.linalg.norm(M @ v_zero))
 
-    v_zero = np.zeros(N)
-    grow_vec = np.zeros(N)
-    osc_vec = np.zeros(N)
-    grow_modes, osc_modes = [], []
-    defect = 0.0
-
-    if k1:
-        T11 = T[:k1, :k1]
-        # level 2: zero cluster leading within the non-decaying block
-        S, Q2, k2 = scipy.linalg.schur(
-            T11, output="real", sort=lambda re, im: re * re + im * im <= etol * etol
-        )
-        zc, rest, Y2 = _split_leading(S, Q2, k2, w)
-        v_zero = Z1 @ (Q2[:, :k2] @ zc) if k2 else np.zeros(N)
-        defect = float(np.linalg.norm(M @ v_zero))
-
-        if k2 < k1:
-            S22 = S[k2:, k2:]
-
-            def embed_rest(v):
-                if Y2 is None:
-                    return Z1 @ (Q2 @ v)
-                return Z1 @ (Q2 @ np.concatenate([Y2 @ v, v]))
-
-            # level 3: growing cluster leading within the remainder
-            G, Q3, k3 = scipy.linalg.schur(
-                S22, output="real", sort=lambda re, im: re < -etol
-            )
-            gc, osc_chi, Y3 = _split_leading(G, Q3, k3, rest)
-            gpart = Q3[:, :k3] @ gc if k3 else np.zeros(rest.shape[0])
-            opart = rest - gpart
-            grow_vec = embed_rest(gpart)
-            osc_vec = embed_rest(opart)
-            if k3:
-                grow_modes = _group_modes(
-                    G[:k3, :k3],
-                    gc,
-                    lambda v: embed_rest(Q3[:, :k3] @ v),
-                    m,
-                    symmetry,
-                )
-            if k3 < rest.shape[0]:
-                def embed_osc(v):
-                    if Y3 is None:
-                        return embed_rest(Q3 @ v)
-                    return embed_rest(Q3 @ np.concatenate([Y3 @ v, v]))
-
-                osc_modes = _group_modes(
-                    G[k3:, k3:],
-                    osc_chi,
-                    embed_osc,
-                    m,
-                    symmetry,
-                    oscillatory=True,
-                )
-
+    grow_vec = grow[2](grow[1])
+    # a trailing part in full coordinates is its parent's less the leading part
     amplitudes = {
         "zero": float(np.linalg.norm(v_zero)),
         "growing": float(np.linalg.norm(grow_vec)),
-        "oscillatory": float(np.linalg.norm(osc_vec)),
-        "decaying": decay_amp,
+        "oscillatory": float(np.linalg.norm(rest[2](rest[1]) - grow_vec)),
+        "decaying": float(np.linalg.norm(f0 - live[2](live[1]))),
     }
     cut = proj_tol * scale
-    zero_excited = amplitudes["zero"] > cut
-    zero_defective = zero_excited and defect > 1e-6 * amplitudes["zero"]
+    grow_modes = _group_modes(*grow, m, symmetry, cut)
+    osc_modes = _group_modes(*osc, m, symmetry, cut, oscillatory=True)
+    zero_defective = amplitudes["zero"] > cut and defect > 1e-6 * amplitudes["zero"]
 
     limit = limit_flat = None
-    if amplitudes["growing"] > cut or zero_defective:
-        verdict = "divergent"
-        modes = [md for md in grow_modes if md.amplitude > cut]
+    if grow_modes or zero_defective:
+        verdict, modes = "divergent", grow_modes
         if zero_defective:
             direction = v_zero / amplitudes["zero"]
             modes.append(
@@ -727,9 +627,8 @@ def asymptotic_limit(fam, zero_tol=1e-8, proj_tol=1e-9):
                     polynomial_growth=True,
                 )
             )
-    elif amplitudes["oscillatory"] > cut:
-        verdict = "oscillatory"
-        modes = [md for md in osc_modes if md.amplitude > cut]
+    elif osc_modes:
+        verdict, modes = "oscillatory", osc_modes
     else:
         verdict, modes = "limit", []
         limit_flat = v_zero
@@ -852,7 +751,7 @@ class LimitSetAlgebra:
     d_red: np.ndarray | None
 
 
-def limit_set_algebra(Z, basis, verdict=None, closure_tol=1e-9):
+def limit_set_algebra(Z, basis, verdict, closure_tol=1e-9):
     """Restrict the Poisson and symmetric brackets to the flow's limit set.
 
     The limit set is the stationary affine set of the (affine) field
@@ -862,14 +761,12 @@ def limit_set_algebra(Z, basis, verdict=None, closure_tol=1e-9):
     reduced structure constants when the restricted products close on the
     free coordinates.
 
-    When the tensor flow converges (``verdict == "limit"``) this
-    restriction is not the natural object — the contracted products are —
-    so the function declines with :class:`LimitExistsError`; pass the
-    precomputed verdict to skip re-analysis.
+    ``verdict`` is the flow's combined verdict (see
+    :func:`analyze_contraction`).  When the tensor flow converges
+    (``verdict == "limit"``) this restriction is not the natural object —
+    the contracted products are — so the function declines with
+    :class:`LimitExistsError`.
     """
-    if verdict is None:
-        fam = flow_family(Z, poisson_field(basis))
-        verdict = asymptotic_limit(fam).verdict
     if verdict == "limit":
         raise LimitExistsError(
             "the tensor flow converges; use the contracted products of the "
@@ -988,10 +885,7 @@ def analyze_contraction(Z, basis, zero_tol=1e-8, proj_tol=1e-9):
                 ),
             }
     elif st.kind == "affine-set":
-        try:
-            report.limit_set = limit_set_algebra(Z, basis, verdict=verdict)
-        except (InvariantViolationError, LimitExistsError):
-            report.limit_set = None
+        report.limit_set = limit_set_algebra(Z, basis, verdict)
     return report
 
 

@@ -36,6 +36,7 @@ from .errors import (
     IntegrationDivergedError,
     InvariantViolationError,
     NonHermitianError,
+    _check_memory,
 )
 from .poly import PolyVectorField
 from .states import (
@@ -469,7 +470,9 @@ def integrate(Z, state0, t_end, dt=None, method="auto", positivity_slack=1e-6):
     points are verified to stay density states up to ``positivity_slack``;
     violation raises :class:`IntegrationDivergedError` with the first bad
     time.  The start is tested before integrating, and all other samples
-    in one batch once they are computed.
+    in one batch once they are computed.  Raises
+    :class:`InvariantViolationError` before allocating when the samples
+    would not fit in memory.
     """
     basis = state0.basis
     if Z.m != basis.m:
@@ -482,13 +485,21 @@ def integrate(Z, state0, t_end, dt=None, method="auto", positivity_slack=1e-6):
     elif not float(dt) > 0:
         raise DimensionError(f"sample step must be positive, got {dt!r}")
     steps = max(1, int(round(t_end / dt))) if t_end > 0 else 0
+    n, m = basis.n, basis.m
+    # per sample: the time, x and its copy (the RK45 solution), and for the
+    # positivity test a complex density matrix, one temporary of its size
+    # and its eigenvalues
+    _check_memory(
+        8 * (steps + 1) * (1 + 2 * m + 4 * n * n + n),
+        f"a trajectory of {steps + 1} samples",
+    )
     times = np.linspace(0.0, t_end, steps + 1)
 
     _check_on_body(basis, state0.x[None], positivity_slack, times)
     if Z.is_affine and method in ("auto", "exact"):
         A, b = Z.linear_parts()
         E, f = affine_flow_map(A, b, times[1] - times[0] if steps else 0.0)
-        xs = np.empty((steps + 1, basis.m))
+        xs = np.empty((steps + 1, m))
         xs[0] = state0.x
         for i in range(1, steps + 1):
             xs[i] = E @ xs[i - 1] + f

@@ -1,4 +1,7 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the memory guard that
+raises one of them before an oversize allocation."""
+
+import os
 
 
 class GeomstatesError(Exception):
@@ -52,3 +55,22 @@ class LimitExistsError(GeomstatesError, ValueError):
 class ContractionMismatchError(GeomstatesError, RuntimeError):
     """Two evolutions expected to define the same contraction produced
     different product tables."""
+
+
+def _check_memory(nbytes, what):
+    """Raise :class:`InvariantViolationError` before allocating ``nbytes``
+    that exceed physical memory or a finite address-space limit of this
+    process; POSIX only."""
+    if os.name != "posix":
+        return
+    import resource
+
+    avail = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    soft, _ = resource.getrlimit(resource.RLIMIT_AS)
+    if soft != resource.RLIM_INFINITY:
+        avail = min(avail, soft)
+    if nbytes > avail:
+        raise InvariantViolationError(
+            f"{what} needs {nbytes / 2**30:.2f} GiB of working memory; "
+            f"only {avail / 2**30:.2f} GiB are available"
+        )

@@ -22,7 +22,12 @@ from __future__ import annotations
 import numpy as np
 
 from .algebra import Observable
-from .errors import BasisMismatchError, DegeneratePointError, DimensionError
+from .errors import (
+    BasisMismatchError,
+    DegeneratePointError,
+    DimensionError,
+    _check_memory,
+)
 from .poly import Poly, PolyTensorField, PolyVectorField
 
 __all__ = [
@@ -199,8 +204,12 @@ def _csv_lines(names, values):
     """CSV lines: ``names``, then one line per row of the 2-D float array
     ``values``.  Numbers are written ``%.17g`` (17 significant digits, an
     exact round trip), the text of ``"{:.17g}".format``; one template
-    covers the whole array."""
+    covers the whole array.  Raises :class:`InvariantViolationError` before
+    formatting when the text would not fit in memory."""
     rows, k = values.shape
+    # ~64 bytes per number and per line, measured over the Python floats,
+    # the template, the text, its lines and the writer's join and encoding
+    _check_memory(64 * rows * (k + 1), f"the CSV text of {rows} rows")
     if not rows:
         return [",".join(names)]
     template = "\n".join([",".join(["%.17g"] * k)] * rows)

@@ -6,6 +6,8 @@ import json
 import os
 import subprocess
 import sys
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -34,6 +36,7 @@ from geomstates.cli import (
     REGISTRY,
     _json_text,
     _print_report_summary,
+    _write_json,
     main,
     report_json,
     run_scenario,
@@ -253,6 +256,15 @@ class TestJsonWriter:
     @given(_json_trees)
     def test_matches_stdlib(self, obj):
         assert _json_text(obj) == _stdlib(obj)
+
+    @settings(max_examples=100, deadline=None)
+    @given(_json_trees)
+    def test_written_file_ends_in_one_newline(self, obj):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "doc.json"
+            _write_json(path, obj)
+            assert path.read_bytes() == (_stdlib(obj) + "\n").encode("utf-8")
+        assert _json_text(obj, "\n") == _stdlib(obj) + "\n"
 
     def test_numpy_and_complex_values(self):
         obj = {
@@ -480,25 +492,45 @@ class TestExitCodes:
         assert code == 1
         assert "affine" in capsys.readouterr().err
 
-    def test_oversize_superoperator_fails_cleanly(self, tmp_path):
+    @staticmethod
+    def _run_in_3_gib(args):
+        """The CLI in a subprocess whose address space is capped at 3 GiB."""
         resource = pytest.importorskip("resource")
+        hard = resource.getrlimit(resource.RLIMIT_AS)[1]
+        soft = 3 * 2**30 if hard == resource.RLIM_INFINITY else min(3 * 2**30, hard)
+        env = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
+        return subprocess.run(
+            [sys.executable, "-m", "geomstates.cli", "run", *args],
+            capture_output=True, text=True, timeout=60,
+            env={**os.environ, **env},
+            preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (soft, hard)),
+        )
+
+    def test_oversize_superoperator_fails_cleanly(self, tmp_path):
         scen = tmp_path / "ququart.json"
         scen.write_text(json.dumps({
             "model": "massive-decoherence",
             "parameters": {"d": 4},
             "outputs": ["contraction"],
         }))
-        hard = resource.getrlimit(resource.RLIMIT_AS)[1]
-        soft = 3 * 2**30 if hard == resource.RLIM_INFINITY else min(3 * 2**30, hard)
-        env = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
-        proc = subprocess.run(
-            [sys.executable, "-m", "geomstates.cli", "run", str(scen), "--out", str(tmp_path)],
-            capture_output=True, text=True, timeout=60,
-            env={**os.environ, **env},
-            preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (soft, hard)),
-        )
+        proc = self._run_in_3_gib([str(scen), "--out", str(tmp_path)])
         assert proc.returncode == 1, proc.stderr
         assert "error:" in proc.stderr and "GiB" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
+    @pytest.mark.parametrize(
+        "args, what",
+        [
+            # 5e9 samples: 37 GiB for the sample times alone
+            (["--dt", "1e-9"], "trajectory"),
+            # a first Halton draw of 2e9 points
+            (["--points", "1000000000"], "grid"),
+        ],
+    )
+    def test_oversize_samples_fail_cleanly(self, tmp_path, args, what):
+        proc = self._run_in_3_gib(["phase-damping", "--out", str(tmp_path), *args])
+        assert proc.returncode == 1, proc.stderr
+        assert proc.stderr.startswith("error: a " + what) and "GiB" in proc.stderr
         assert "Traceback" not in proc.stderr
 
     def test_negative_points_rejected(self, tmp_path, capsys):

@@ -1,5 +1,7 @@
 """Tensor-field transport along flows and asymptotic algebra contraction."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -669,3 +671,175 @@ class TestGeometricTransport:
         assert calls == []
         assert fam.superop.size == 28 * coeff_size(8)
         assert fam.superop is fam.superop and len(calls) == 1
+
+
+# ------------------------------------------------ one spectral classifier
+
+
+def _ad(U, basis):
+    """Orthogonal action ``x -> O x`` of ``rho -> U rho U^+`` on coordinates:
+    ``O[j, k] = tr(sigma_j U sigma_k U^+) / 2``."""
+    els = basis.elements[1:]
+    return np.array(
+        [[0.5 * np.trace(a @ U @ b @ U.conj().T).real for b in els] for a in els]
+    )
+
+
+def _sorted_eigs(vals):
+    return sorted(np.asarray(vals), key=lambda v: (round(v.real, 6), round(v.imag, 6)))
+
+
+def _is_diagonal(M):
+    return np.count_nonzero(M) == np.count_nonzero(np.diag(M))
+
+
+def _lapack_only(monkeypatch):
+    """Send every split through ``scipy.linalg.schur``."""
+    import geomstates.contraction as con
+
+    monkeypatch.setattr(
+        con,
+        "_sorted_schur",
+        lambda M, select: scipy.linalg.schur(M, output="real", sort=select),
+    )
+
+
+class TestOneClassifier:
+    """``asymptotic_limit`` classifies every superoperator through the same
+    three ``_split`` calls; a diagonal one is split by a permutation of its
+    diagonal, any other through LAPACK."""
+
+    @pytest.mark.parametrize("make", [model_phase_damping, model_qubit_dissipation])
+    def test_unitary_conjugate_agrees(self, basis2, make, rng):
+        """Reference: the same Lindblad model conjugated by a random unitary
+        ``U``.  Its superoperator is not diagonal, and its analysis must be
+        the push-forward by ``O = Ad_U`` of the original one."""
+        model = make(0.7)
+        h = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+        U = scipy.linalg.expm(1j * (h + h.conj().T))
+        O = _ad(U, basis2)
+        conj = LindbladModel(
+            basis2, H=None if model.H is None else U @ model.H @ U.conj().T,
+            V=[U @ V @ U.conj().T for V in model.V],
+        )
+        Z, Zc = lindblad_vf(model), lindblad_vf(conj)
+        ys = rng.normal(size=(6, 3))
+        for T in (poisson_field(basis2), symmetric_field(basis2)):
+            fam, famc = flow_family(Z, T), flow_family(Zc, T)
+            assert not _is_diagonal(famc.superop.matrix)
+            an, anc = asymptotic_limit(fam), asymptotic_limit(famc)
+            assert an.verdict == anc.verdict == "limit"
+            for a, b in zip(_sorted_eigs(an.eigenvalues), _sorted_eigs(anc.eigenvalues)):
+                assert abs(a - b) <= 1e-9
+            want = np.einsum("ja,nab,kb->njk", O, an.limit(ys @ O), O)
+            assert np.abs(anc.limit(ys) - want).max() <= 1e-10
+
+    def test_phase_damping_takes_the_diagonal_route(self, basis2, monkeypatch):
+        """The permutation route and LAPACK agree on a diagonal
+        superoperator, which calls no Schur factorisation."""
+        calls = []
+        real = scipy.linalg.schur
+        monkeypatch.setattr(
+            scipy.linalg, "schur", lambda *a, **k: calls.append(a) or real(*a, **k)
+        )
+        Z = lindblad_vf(model_phase_damping(0.7))
+        fam = flow_family(Z, symmetric_field(basis2))
+        assert _is_diagonal(fam.superop.matrix)
+        an = asymptotic_limit(fam)
+        assert calls == []
+        _lapack_only(monkeypatch)
+        ref = asymptotic_limit(fam)
+        assert len(calls) == 3
+        assert an.verdict == ref.verdict == "limit"
+        assert np.abs(an.limit_flat - ref.limit_flat).max() <= 1e-14
+        for key, amp in ref.amplitudes.items():
+            assert abs(an.amplitudes[key] - amp) <= 1e-14
+
+    @pytest.mark.parametrize("lapack", [False, True])
+    @pytest.mark.parametrize("eps", [8e-10, 2e-9])
+    def test_verdict_comes_from_excited_modes(self, lapack, eps, monkeypatch):
+        """Three growing slots of 8e-10 each sit below the 1e-9 cut, while
+        their joint norm, 1.13e-9, is above it: no mode is excited and the
+        flow has a limit, on both routes.  At 2e-9 both rates are listed."""
+        if lapack:
+            _lapack_only(monkeypatch)
+        Z = PolyVectorField.from_affine(np.diag([1.0, -1, -1]), np.zeros(3))
+        c1 = np.zeros((3, 3, 3))
+        c2 = np.zeros((3, 3, 3, 3))
+        c2[1, 1, 1, 1] = 1.0
+        c1[0, 0, 2] = c1[0, 1, 1] = c1[1, 0, 1] = eps
+        T = PolyTensorField._of(np.zeros((3, 3)), c1, c2, "symmetric")
+        an = asymptotic_limit(flow_family(Z, T))
+        assert an.amplitudes["growing"] > 1e-9
+        if eps < 1e-9:
+            assert an.verdict == "limit" and an.modes == []
+            assert an.limit is not None
+        else:
+            assert an.verdict == "divergent" and an.limit is None
+            rates = sorted(md.growth_rate for md in an.modes)
+            assert rates == pytest.approx([1.0, 3.0], abs=1e-12)
+            assert all(md.amplitude == pytest.approx(eps, rel=1e-12) for md in an.modes)
+
+    @pytest.mark.parametrize("diagonal", [True, False])
+    def test_pure_decay_has_empty_leading_part(self, diagonal, rng):
+        """No Lie-derivative superoperator decays everywhere (``x_j x_k``
+        is invariant under every linear flow), so the reference is a
+        synthetic one whose spectrum lies in Re > 0: the first split keeps
+        nothing, the empty parts pass through the other two, and the whole
+        initial tensor decays."""
+        from geomstates.contraction import LieDerivativeSuperoperator, _split
+
+        m, sym = 2, "antisymmetric"
+        N = len(tensor_pairs(m, sym)) * coeff_size(m)
+        lam = rng.uniform(0.5, 2.0, N)
+        if diagonal:
+            M = np.diag(lam)
+        else:
+            S = rng.normal(size=(N, N))
+            M = S @ np.diag(lam) @ np.linalg.inv(S)
+        f0 = rng.normal(size=N)
+        live, decay = _split(M, f0, lambda v: v, lambda re, im: re <= 1e-8)
+        assert live[0].shape == (0, 0) and live[1].shape == (0,)
+        assert np.array_equal(live[2](live[1]), np.zeros(N))
+        assert decay[0].shape == (N, N)
+        assert np.abs(decay[2](decay[1]) - f0).max() <= 1e-12 * np.abs(f0).max()
+        zero, rest = _split(*live, lambda re, im: re * re + im * im <= 1e-16)
+        assert zero[0].shape == rest[0].shape == (0, 0)
+
+        fam = SimpleNamespace(
+            superop=LieDerivativeSuperoperator(m=m, symmetry=sym, matrix=M), flat0=f0
+        )
+        an = asymptotic_limit(fam)
+        assert an.verdict == "limit" and an.modes == []
+        assert np.array_equal(an.limit_flat, np.zeros(N))
+        assert an.amplitudes["decaying"] == pytest.approx(np.linalg.norm(f0), rel=1e-12)
+        assert an.amplitudes["zero"] == an.amplitudes["growing"] == 0.0
+        assert an.defect == 0.0
+        assert np.abs(np.sort(an.eigenvalues.real) - np.sort(lam)).max() <= 1e-9
+
+    def test_zero_coupling_skips_the_sylvester_solve(self, rng):
+        """Reference: LAPACK ``trsyl`` on the same block-diagonal
+        quasi-triangular ``T``; ``Y`` is 0 either way (``trsyl`` writes
+        some zeros with a negative sign), and the split coordinates are
+        bitwise equal."""
+        from scipy.linalg import get_lapack_funcs
+
+        from geomstates.contraction import _split_leading
+
+        T11 = np.triu(rng.normal(size=(4, 4)))
+        T11[2, 1] = -abs(T11[1, 2]) - 0.5  # a 2x2 block: a complex pair
+        T11[1, 1] = T11[2, 2]
+        T22 = np.triu(rng.normal(size=(3, 3)))
+        T = scipy.linalg.block_diag(T11, T22)
+        Q, _ = np.linalg.qr(rng.normal(size=(7, 7)))
+        vec = rng.normal(size=7)
+        lead, rest, Y = _split_leading(T, Q, 4, vec)
+
+        trsyl = get_lapack_funcs(("trsyl",), (T11, T22))[0]
+        x, sc, info = trsyl(T11, T22, -T[:4, 4:], isgn=-1)
+        assert info == 0
+        Yref = x / sc
+        phi = Q.T @ vec
+        assert np.array_equal(Y, Yref) and not Y.any()
+        assert (phi[:4] - Yref @ phi[4:]).tobytes() == lead.tobytes()
+        assert phi[4:].tobytes() == rest.tobytes()

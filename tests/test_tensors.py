@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from geomstates import (
     DegeneratePointError,
+    InvariantViolationError,
     Poly,
     StateCoordinates,
     build_basis,
@@ -278,3 +279,9 @@ class TestCsv:
             for row in np.concatenate((pts, Y(pts)), axis=1).tolist()
         ]
         assert field_csv_rows(Y, pts) == [",".join(row) for row in old]
+
+    def test_oversize_text_raises_before_formatting(self):
+        # a zero-stride view: 10^10 rows that take no memory themselves
+        values = np.broadcast_to(0.0, (10**10, 2))
+        with pytest.raises(InvariantViolationError, match="CSV text of 10000000000 rows"):
+            _csv_lines(["a", "b"], values)
