@@ -328,13 +328,14 @@ def sample_states(basis, count, seed, anchors=(), slice_coords=None):
 # -------------------------------------------------------------- serializers
 
 
-def _json_text(obj, end=""):
+def _json_text(obj):
     """``obj`` as ``json.dumps(obj, indent=2, sort_keys=True,
-    allow_nan=False)`` writes it, followed by ``end``, in one pass that also
-    takes numpy arrays and scalars, and complex values as ``[re, im]``."""
+    allow_nan=False)`` writes it, plus the newline that ends the file, in
+    one pass that also takes numpy arrays and scalars, and complex values
+    as ``[re, im]``."""
     parts = []
     _json_parts(obj, "\n", {}, parts)
-    parts.append(end)
+    parts.append("\n")
     return "".join(parts)
 
 
@@ -531,7 +532,7 @@ def _write_csv(path, lines):
 
 
 def _write_json(path, obj):
-    _write_text(path, _json_text(obj, "\n"))
+    _write_text(path, _json_text(obj))
 
 
 def _slug(name):

@@ -32,8 +32,8 @@ oracle for the transport; the superoperator itself serves the
   modes, and purely imaginary ones oscillate.
 
 Every superoperator takes the same path through these classes: three sorted
-real Schur splittings, which for a diagonal matrix are permutations of its
-diagonal.
+real Schur splittings, which for a diagonal matrix reduce to splitting its
+coordinates by index.
 
 When both the Poisson and the symmetric tensor fields converge, their
 limits define a *contracted* Lie-Jordan product pair on the same function
@@ -428,25 +428,6 @@ def _quasi_eigs(T):
     return vals
 
 
-def _sorted_schur(M, select):
-    """Real Schur form ``M = Q T Q^T`` sorted so that the ``k`` eigenvalues
-    ``re + i im`` with ``select(re, im)`` lead; returns ``(T, Q, k)``.
-
-    A diagonal ``M`` is its own Schur form: ``T`` is then exactly the stable
-    permutation of its diagonal that puts the selected entries first, and
-    ``Q`` the permutation matrix, with no LAPACK call; ``select`` is then
-    called once, on the whole diagonal and ``im = 0.0``.
-    """
-    lam = np.diag(M)
-    if np.count_nonzero(M) == np.count_nonzero(lam):
-        keep = select(lam, 0.0)
-        order = np.argsort(~keep, kind="stable")
-        Q = np.zeros(M.shape)
-        Q[order, np.arange(lam.size)] = 1.0
-        return np.diag(lam[order]), Q, int(np.count_nonzero(keep))
-    return scipy.linalg.schur(M, output="real", sort=select)
-
-
 def _split_leading(T, Q, k, vec):
     """Spectral component of ``vec`` in the leading invariant subspace of a
     sorted real Schur form ``(T, Q, k)``.
@@ -476,10 +457,40 @@ def _split(block, coords, embed, select):
     A part is a triple ``(block, coords, embed)``: it evolves under the
     quasi-triangular ``block`` in ``coords``, and ``embed`` maps such
     coordinates to the flattened coefficient space.  Returns the leading
-    part (the eigenvalues selected) and the trailing part (the others), each
-    again such a triple; either may be empty.
+    part (the eigenvalues ``re + i im`` with ``select(re, im)``) and the
+    trailing part (the others), each again such a triple; either may be
+    empty.  A diagonal block is its own Schur form and is split by index
+    (:func:`_split_diagonal`); any other block through its sorted real
+    Schur form (:func:`_split_schur`).
     """
-    T, Q, k = _sorted_schur(block, select)
+    lam = np.diag(block)
+    if np.count_nonzero(block) == np.count_nonzero(lam):
+        return _split_diagonal(lam, coords, embed, select)
+    return _split_schur(block, coords, embed, select)
+
+
+def _split_diagonal(lam, coords, embed, select):
+    """:func:`_split` of the block ``diag(lam)``: each part keeps its own
+    entries of ``lam`` and ``coords`` in their order, and embeds by
+    scattering them back.  ``select`` is called once, on all of ``lam``
+    with ``im = 0.0``."""
+    keep = select(lam, 0.0)
+
+    def part(idx):
+        def scatter(v):
+            full = np.zeros(lam.size)
+            full[idx] = v
+            return embed(full)
+
+        return np.diag(lam[idx]), coords[idx], scatter
+
+    return part(np.flatnonzero(keep)), part(np.flatnonzero(~keep))
+
+
+def _split_schur(block, coords, embed, select):
+    """:func:`_split` through the real Schur form of ``block`` sorted by
+    ``select`` (``scipy.linalg.schur``) and :func:`_split_leading`."""
+    T, Q, k = scipy.linalg.schur(block, output="real", sort=select)
     lead, rest, Y = _split_leading(T, Q, k, coords)
     return (
         (T[:k, :k], lead, lambda v: embed(Q[:, :k] @ v)),
@@ -575,19 +586,21 @@ def asymptotic_limit(fam, zero_tol=1e-8, proj_tol=1e-9):
     path for every superoperator: three sorted real Schur splittings peel
     off (1) everything decaying, (2) the zero cluster, (3) the growing
     cluster, leaving the oscillatory modes.  A diagonal block is split by
-    permuting its diagonal.
+    index, with no LAPACK call.
     """
     sup = fam.superop
     M = sup.matrix
     f0 = fam.flat0
     m, symmetry = sup.m, sup.symmetry
     scale = max(1.0, float(np.linalg.norm(f0)))
+    # the smallest of the 1-, inf- and Frobenius norms of M
+    absM = np.abs(M)
     spec_scale = max(
         1.0,
         min(
-            float(np.linalg.norm(M, 1)),
-            float(np.linalg.norm(M, np.inf)),
-            float(np.linalg.norm(M, "fro")),
+            float(absM.sum(axis=0).max()),
+            float(absM.sum(axis=1).max()),
+            float(np.linalg.norm(M)),
         ),
     )
     etol = zero_tol * spec_scale

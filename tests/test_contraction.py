@@ -697,17 +697,13 @@ def _lapack_only(monkeypatch):
     """Send every split through ``scipy.linalg.schur``."""
     import geomstates.contraction as con
 
-    monkeypatch.setattr(
-        con,
-        "_sorted_schur",
-        lambda M, select: scipy.linalg.schur(M, output="real", sort=select),
-    )
+    monkeypatch.setattr(con, "_split", con._split_schur)
 
 
 class TestOneClassifier:
     """``asymptotic_limit`` classifies every superoperator through the same
-    three ``_split`` calls; a diagonal one is split by a permutation of its
-    diagonal, any other through LAPACK."""
+    three ``_split`` calls; a diagonal block is split by index, any other
+    through LAPACK."""
 
     @pytest.mark.parametrize("make", [model_phase_damping, model_qubit_dissipation])
     def test_unitary_conjugate_agrees(self, basis2, make, rng):
@@ -758,9 +754,10 @@ class TestOneClassifier:
     @pytest.mark.parametrize("lapack", [False, True])
     @pytest.mark.parametrize("eps", [8e-10, 2e-9])
     def test_verdict_comes_from_excited_modes(self, lapack, eps, monkeypatch):
-        """Three growing slots of 8e-10 each sit below the 1e-9 cut, while
-        their joint norm, 1.13e-9, is above it: no mode is excited and the
-        flow has a limit, on both routes.  At 2e-9 both rates are listed."""
+        """Two growing slots of 8e-10 each, at rates 3 and 1, sit below the
+        1e-9 cut, while their joint norm, 1.13e-9, is above it: no mode is
+        excited and the flow has a limit, on both routes.  At 2e-9 both
+        rates are listed."""
         if lapack:
             _lapack_only(monkeypatch)
         Z = PolyVectorField.from_affine(np.diag([1.0, -1, -1]), np.zeros(3))
@@ -779,6 +776,25 @@ class TestOneClassifier:
             rates = sorted(md.growth_rate for md in an.modes)
             assert rates == pytest.approx([1.0, 3.0], abs=1e-12)
             assert all(md.amplitude == pytest.approx(eps, rel=1e-12) for md in an.modes)
+
+    @pytest.mark.parametrize("lapack", [False, True])
+    def test_excitation_is_per_eigenvalue_group(self, lapack, monkeypatch):
+        """Two slots of 8e-10 each that share the growth rate 3 form one
+        mode of amplitude 1.13e-9, above the 1e-9 cut, so the flow
+        diverges on both routes, although each slot alone is below it."""
+        if lapack:
+            _lapack_only(monkeypatch)
+        Z = PolyVectorField.from_affine(np.diag([1.0, -1, -1]), np.zeros(3))
+        c1 = np.zeros((3, 3, 3))
+        c2 = np.zeros((3, 3, 3, 3))
+        c2[1, 1, 1, 1] = 1.0
+        c1[0, 0, 1] = c1[0, 0, 2] = 8e-10
+        T = PolyTensorField._of(np.zeros((3, 3)), c1, c2, "symmetric")
+        an = asymptotic_limit(flow_family(Z, T))
+        assert an.verdict == "divergent" and an.limit is None
+        assert len(an.modes) == 1
+        assert an.modes[0].growth_rate == pytest.approx(3.0, abs=1e-12)
+        assert an.modes[0].amplitude == pytest.approx(np.hypot(8e-10, 8e-10), rel=1e-12)
 
     @pytest.mark.parametrize("diagonal", [True, False])
     def test_pure_decay_has_empty_leading_part(self, diagonal, rng):
