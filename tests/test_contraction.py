@@ -752,49 +752,42 @@ class TestOneClassifier:
             assert abs(an.amplitudes[key] - amp) <= 1e-14
 
     @pytest.mark.parametrize("lapack", [False, True])
-    @pytest.mark.parametrize("eps", [8e-10, 2e-9])
-    def test_verdict_comes_from_excited_modes(self, lapack, eps, monkeypatch):
+    @pytest.mark.parametrize(
+        "slots, eps, modes",
+        [
+            ([(0, 0, 2), (0, 1, 1), (1, 0, 1)], 8e-10, []),
+            ([(0, 0, 2), (0, 1, 1), (1, 0, 1)], 2e-9, [(1.0, 2e-9), (3.0, 2e-9)]),
+            ([(0, 0, 1), (0, 0, 2)], 8e-10, [(3.0, np.hypot(8e-10, 8e-10))]),
+        ],
+        ids=["rates-1-3-below", "rates-1-3-above", "rate-3-twice"],
+    )
+    def test_verdict_comes_from_excited_modes(self, lapack, slots, eps, modes, monkeypatch):
         """Two growing slots of 8e-10 each, at rates 3 and 1, sit below the
         1e-9 cut, while their joint norm, 1.13e-9, is above it: no mode is
         excited and the flow has a limit, on both routes.  At 2e-9 both
-        rates are listed."""
+        rates are listed.  Two slots of 8e-10 that share the rate 3 form
+        one mode of amplitude 1.13e-9, so that flow diverges."""
         if lapack:
             _lapack_only(monkeypatch)
         Z = PolyVectorField.from_affine(np.diag([1.0, -1, -1]), np.zeros(3))
         c1 = np.zeros((3, 3, 3))
         c2 = np.zeros((3, 3, 3, 3))
         c2[1, 1, 1, 1] = 1.0
-        c1[0, 0, 2] = c1[0, 1, 1] = c1[1, 0, 1] = eps
+        for slot in slots:
+            c1[slot] = eps
         T = PolyTensorField._of(np.zeros((3, 3)), c1, c2, "symmetric")
         an = asymptotic_limit(flow_family(Z, T))
         assert an.amplitudes["growing"] > 1e-9
-        if eps < 1e-9:
+        if not modes:
             assert an.verdict == "limit" and an.modes == []
             assert an.limit is not None
         else:
             assert an.verdict == "divergent" and an.limit is None
-            rates = sorted(md.growth_rate for md in an.modes)
-            assert rates == pytest.approx([1.0, 3.0], abs=1e-12)
-            assert all(md.amplitude == pytest.approx(eps, rel=1e-12) for md in an.modes)
-
-    @pytest.mark.parametrize("lapack", [False, True])
-    def test_excitation_is_per_eigenvalue_group(self, lapack, monkeypatch):
-        """Two slots of 8e-10 each that share the growth rate 3 form one
-        mode of amplitude 1.13e-9, above the 1e-9 cut, so the flow
-        diverges on both routes, although each slot alone is below it."""
-        if lapack:
-            _lapack_only(monkeypatch)
-        Z = PolyVectorField.from_affine(np.diag([1.0, -1, -1]), np.zeros(3))
-        c1 = np.zeros((3, 3, 3))
-        c2 = np.zeros((3, 3, 3, 3))
-        c2[1, 1, 1, 1] = 1.0
-        c1[0, 0, 1] = c1[0, 0, 2] = 8e-10
-        T = PolyTensorField._of(np.zeros((3, 3)), c1, c2, "symmetric")
-        an = asymptotic_limit(flow_family(Z, T))
-        assert an.verdict == "divergent" and an.limit is None
-        assert len(an.modes) == 1
-        assert an.modes[0].growth_rate == pytest.approx(3.0, abs=1e-12)
-        assert an.modes[0].amplitude == pytest.approx(np.hypot(8e-10, 8e-10), rel=1e-12)
+            got = sorted((md.growth_rate, md.amplitude) for md in an.modes)
+            assert len(got) == len(modes)
+            for (rate, amp), (want_rate, want_amp) in zip(got, modes):
+                assert rate == pytest.approx(want_rate, abs=1e-12)
+                assert amp == pytest.approx(want_amp, rel=1e-12)
 
     @pytest.mark.parametrize("diagonal", [True, False])
     def test_pure_decay_has_empty_leading_part(self, diagonal, rng):
