@@ -114,13 +114,11 @@ from .contraction import (
     ContractedTables,
     ContractionReport,
     DivergentMode,
-    LieDerivativeSuperoperator,
     LimitAnalysis,
     LimitSetAlgebra,
     TensorFlowFamily,
     analyze_contraction,
     asymptotic_limit,
-    build_superoperator,
     contract_3level_decoherence,
     extract_contracted_products,
     flatten_field,
@@ -153,7 +151,6 @@ __all__ = [
     "GeomstatesError",
     "IntegrationDivergedError",
     "InvariantViolationError",
-    "LieDerivativeSuperoperator",
     "LimitAnalysis",
     "LimitExistsError",
     "LimitSetAlgebra",
@@ -176,7 +173,6 @@ __all__ = [
     "asymptotic_limit",
     "axiom_residuals",
     "build_basis",
-    "build_superoperator",
     "complex_structure_at",
     "contract_3level_decoherence",
     "covariance",

@@ -412,9 +412,10 @@ def _array_text(a, pad, cache):
 
 
 def _analysis_json(ana):
+    # sorted by value to 9 digits, so round-off does not reorder the list
     eigs = sorted(
         ([float(ev.real), float(ev.imag)] for ev in np.atleast_1d(ana.eigenvalues)),
-        key=lambda p: (p[0], p[1]),
+        key=lambda p: (round(p[0], 9), round(p[1], 9)),
     )
     out = {
         "verdict": ana.verdict,

@@ -18,22 +18,20 @@ substitution of the variables followed by a congruence of the component
 indices (:class:`TensorFlowFamily`), which is how finite-time transport is
 computed.
 
-The same push-forward is the one-parameter group ``T_t = exp(-t L_Z) T`` on
-the flattened coefficient space, where ``L_Z`` is an explicit matrix (the
-superoperator built here).  Its ``exp`` serves the tests as an independent
-oracle for the transport; the superoperator itself serves the
-``t -> infinity`` analysis, which is spectral:
+The same push-forward is the one-parameter group ``T_t = exp(-t L_Z) T``
+on the flattened coefficient space.  The ``t -> infinity`` analysis is
+spectral, and ``L_Z`` is never formed: it is the Kronecker sum of the
+flow's ``m x m`` matrices, so its spectrum is the set of sums
+``mu_p + mu_q - lam_a - lam_b`` (``lam`` the eigenvalues of ``A``, ``mu``
+those of the flow ``[[0, 0], [b, A]]`` on ``(1, x)``), and every spectral
+projection is formed in ``m``-sized coordinates built from eigenvalue
+clusters (:func:`asymptotic_limit`):
 
-* eigenvalues of the superoperator with positive real part are decaying
-  directions of the tensor flow,
-* the (clustered) zero eigenvalues carry the limit tensor, provided the
-  initial tensor does not excite a defective (non-semisimple) zero mode,
-* eigenvalues with negative real part are exponentially divergent tensor
-  modes, and purely imaginary ones oscillate.
-
-Every superoperator takes the same path through these classes: three sorted
-real Schur splittings, which for a diagonal matrix reduce to splitting its
-coordinates by index.
+* sums with positive real part are decaying directions of the tensor flow,
+* the (clustered) zero sums carry the limit tensor, provided the initial
+  tensor does not excite a defective (non-semisimple) zero mode,
+* sums with negative real part are exponentially divergent tensor modes,
+  and purely imaginary ones oscillate.
 
 When both the Poisson and the symmetric tensor fields converge, their
 limits define a *contracted* Lie-Jordan product pair on the same function
@@ -48,7 +46,6 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
-from scipy.linalg import get_lapack_funcs
 
 from .algebra import axiom_residuals, build_basis
 from .errors import (
@@ -68,8 +65,6 @@ __all__ = [
     "flatten_field",
     "unflatten_field",
     "slot_label",
-    "LieDerivativeSuperoperator",
-    "build_superoperator",
     "TensorFlowFamily",
     "flow_family",
     "flow_tensor",
@@ -231,67 +226,7 @@ def slot_label(m, flat_index, symmetry, names=None):
     return f"T[{j + 1},{k + 1}]:{coeff}"
 
 
-# --------------------------------------------------------------- superoperator
-
-
-@dataclass
-class LieDerivativeSuperoperator:
-    """Matrix of ``L_Z`` on the flattened coefficient space of one symmetry
-    sector; the tensor flow is ``flat(T_t) = expm(-t * matrix) flat(T_0)``."""
-
-    m: int
-    symmetry: str
-    matrix: np.ndarray
-
-    @property
-    def size(self):
-        return self.matrix.shape[0]
-
-
-def build_superoperator(Z, symmetry):
-    """Lie-derivative matrix of an affine field on one symmetry sector.
-
-    Column ``b`` is the flattened Lie derivative of the ``b``-th coefficient
-    basis tensor; all columns come from one :func:`lie_derivative` call on
-    the stack of basis tensors.  Requires ``Z`` affine, since only then does
-    the Lie derivative preserve the degree-<=2 coefficient space with no
-    cancellation caveats.  Raises :class:`InvariantViolationError` before
-    allocating when the dense matrix, the basis stack, its image and one
-    temporary of their size would not fit in memory.
-    """
-    _affine_parts(Z)
-    m = Z.m
-    B = len(tensor_pairs(m, symmetry)) * coeff_size(m)
-    _check_memory(
-        8 * (B * B + 3 * B * (m**2 + m**3 + m**4)),
-        f"the {symmetry} tensor-flow superoperator at m={m}",
-    )
-    M = flatten_field(lie_derivative(Z, _basis_stack(m, symmetry))).T
-    return LieDerivativeSuperoperator(
-        m=m, symmetry=symmetry, matrix=np.ascontiguousarray(M)
-    )
-
-
-def _basis_stack(m, symmetry):
-    """The stack of tensor fields whose ``b``-th item has the flat
-    coefficient vector ``e_b`` (see :func:`unflatten_field`), written
-    directly: one scatter per coefficient kind, then the mirror."""
-    pj, pk = _pair_index(m, symmetry)
-    q = coeff_size(m)
-    B = pj.size * q
-    base = np.arange(pj.size) * q  # flat index of each pair's c0
-    j, k = pj[:, None], pk[:, None]
-    ls = np.arange(m)
-    iu = np.triu_indices(m)
-    tri = base[:, None] + 1 + m + np.arange(iu[0].size)
-    c0 = np.zeros((B, m, m))
-    c1 = np.zeros((B, m, m, m))
-    c2 = np.zeros((B, m, m, m, m))
-    c0[base, pj, pk] = 1.0
-    c1[base[:, None] + 1 + ls, j, k, ls] = 1.0
-    c2[tri, j, k, iu[0], iu[1]] = 1.0
-    c2[tri, j, k, iu[1], iu[0]] = 1.0
-    return PolyTensorField._mirrored(c0, c1, c2, symmetry)
+# ------------------------------------------------------------ tensor flows
 
 
 def _affine_parts(Z):
@@ -316,10 +251,7 @@ class TensorFlowFamily:
     ``Phi_t(x) = E x + f`` from :func:`~geomstates.dynamics.affine_flow_map`,
     ``T_t(y) = E T_0(Phi_{-t}(y)) E^T``, which on coefficient arrays is the
     affine substitution ``x = Phi_{-t}(y)`` in every component followed by
-    the congruence by ``E`` of the component indices.  The Lie-derivative
-    superoperator ``superop``, with ``flat(T_t) = expm(-t M) flat0``, is
-    built on first access only; the asymptotic analysis needs it, and the
-    tests use its ``expm`` as an oracle for the transport.
+    the congruence by ``E`` of the component indices.
     """
 
     def __init__(self, field, initial):
@@ -327,13 +259,6 @@ class TensorFlowFamily:
         self.initial = initial
         self.flat0 = flatten_field(initial)
         self._affine = _affine_parts(field)
-        self._superop = None
-
-    @property
-    def superop(self):
-        if self._superop is None:
-            self._superop = build_superoperator(self.field, self.initial.symmetry)
-        return self._superop
 
     def tensor_at(self, t):
         A, b = self._affine
@@ -386,11 +311,12 @@ def pushforward_affine(Z, T, t, y):
 class DivergentMode:
     """One non-decaying excited tensor-flow mode.
 
-    ``eigenvalue`` is the superoperator eigenvalue ``lam``; the mode's
+    ``eigenvalue`` is the eigenvalue ``lam`` of ``L_Z``; the mode's
     amplitude in the flow behaves like ``exp(growth_rate * t)`` with
-    ``growth_rate = -Re(lam)`` (0 for oscillatory or polynomially growing
-    modes).  ``direction`` is a unit vector in the flattened coefficient
-    space and ``component`` names its dominant slots.
+    ``growth_rate = -Re(lam)`` (0 for oscillatory modes and the defective
+    zero cluster), times a polynomial in ``t`` when ``polynomial_growth``.
+    ``direction`` is a unit vector in the flattened coefficient space and
+    ``component`` names its dominant slots.
     """
 
     eigenvalue: complex
@@ -417,141 +343,74 @@ class LimitAnalysis:
     symmetry: str
 
 
-def _quasi_eigs(T):
-    """Eigenvalues of a real quasi-triangular (Schur) matrix, in diagonal
-    order: the diagonal, with each 2x2 block (a nonzero subdiagonal entry;
-    no two are adjacent) replaced by its pair."""
-    vals = np.diag(T).astype(complex)
-    pairs = np.flatnonzero(np.diag(T, -1))[:, None] + np.arange(2)
-    if pairs.size:
-        vals[pairs] = np.linalg.eigvals(T[pairs[:, :, None], pairs[:, None, :]])
-    return vals
+def _clusters(mu, etol):
+    """Eigenvalue clusters of ``mu``: the connected components of the graph
+    that links two values at most ``etol`` apart.  Returns, per value, the
+    label of its cluster (the cluster's first index) and the cluster's
+    centre (the mean of its values)."""
+    reach = np.abs(mu[:, None] - mu) <= etol
+    while True:
+        wider = reach @ reach
+        if (wider == reach).all():
+            return reach.argmax(axis=1), (reach @ mu) / reach.sum(axis=1)
+        reach = wider
 
 
-def _split_leading(T, Q, k, vec):
-    """Spectral component of ``vec`` in the leading invariant subspace of a
-    sorted real Schur form ``(T, Q, k)``.
+def _cluster_bases(A, b, schur, etol):
+    """Bases of ``A`` and of the homogeneous flow matrix
+    ``At = [[0, 0], [b, A]]`` (the flow on ``(1, x)``) made of the invariant
+    subspaces of their eigenvalue clusters.
 
-    Returns ``(lead_coords, rest_coords, Y)``: the leading part is
-    ``Q[:, :k] @ lead_coords`` in full coordinates, and the complementary
-    spectral part evolves under ``T[k:, k:]`` in ``rest_coords`` with
-    embedding ``v -> Q @ [Y v; v]``, ``Y`` the Sylvester coupling solution
-    (exactly 0 when the coupling block ``T[:k, k:]`` is).
+    ``mu = (0, spec A)`` is clustered as one set (:func:`_clusters`), so the
+    extra zero of ``At`` joins the zero cluster of ``A``, label 0.  Each
+    cluster of ``A`` contributes the leading vectors of a complex Schur form
+    of ``A`` sorted to put that cluster first (``scipy.linalg.schur``; the
+    unsorted form ``schur`` serves the cluster it already puts first), so
+    ``S = V^-1 A V`` is block diagonal.  ``At`` needs no factorisation of
+    its own: ``W = [[1, 0], [w, V]]`` with ``w = -V y``, where ``y`` solves
+    ``S y = V^-1 b`` off the zero cluster, so that ``b + A w`` lies in the
+    zero cluster of ``A``; ``M = W^-1 At W`` is then block diagonal too.
+    Returns ``V``, its inverse, ``W``, its inverse, ``S``, ``M`` and the
+    cluster centre of every column of ``V`` and of ``W``.
     """
-    phi = Q.T @ vec
-    T11, T12, T22 = T[:k, :k], T[:k, k:], T[k:, k:]
-    if T12.any():
-        trsyl = get_lapack_funcs(("trsyl",), (T11, T22))[0]
-        x, sc, info = trsyl(T11, T22, -T12, isgn=-1)
-        if info < 0:
-            raise InvariantViolationError("Sylvester solve failed in spectral split")
-        Y = x / sc
-    else:
-        Y = np.zeros(T12.shape)
-    return phi[:k] - Y @ phi[k:], phi[k:], Y
-
-
-def _split(block, coords, embed, select):
-    """Split one spectral part of the tensor flow by ``select``.
-
-    A part is a triple ``(block, coords, embed)``: it evolves under the
-    quasi-triangular ``block`` in ``coords``, and ``embed`` maps such
-    coordinates to the flattened coefficient space.  Returns the leading
-    part (the eigenvalues ``re + i im`` with ``select(re, im)``) and the
-    trailing part (the others), each again such a triple; either may be
-    empty.  A diagonal block is its own Schur form and is split by index
-    (:func:`_split_diagonal`); any other block through its sorted real
-    Schur form (:func:`_split_schur`).
-    """
-    lam = np.diag(block)
-    if np.count_nonzero(block) == np.count_nonzero(lam):
-        return _split_diagonal(lam, coords, embed, select)
-    return _split_schur(block, coords, embed, select)
-
-
-def _split_diagonal(lam, coords, embed, select):
-    """:func:`_split` of the block ``diag(lam)``: each part keeps its own
-    entries of ``lam`` and ``coords`` in their order, and embeds by
-    scattering them back.  ``select`` is called once, on all of ``lam``
-    with ``im = 0.0``."""
-    keep = select(lam, 0.0)
-
-    def part(idx):
-        def scatter(v):
-            full = np.zeros(lam.size)
-            full[idx] = v
-            return embed(full)
-
-        return np.diag(lam[idx]), coords[idx], scatter
-
-    return part(np.flatnonzero(keep)), part(np.flatnonzero(~keep))
-
-
-def _split_schur(block, coords, embed, select):
-    """:func:`_split` through the real Schur form of ``block`` sorted by
-    ``select`` (``scipy.linalg.schur``) and :func:`_split_leading`."""
-    T, Q, k = scipy.linalg.schur(block, output="real", sort=select)
-    lead, rest, Y = _split_leading(T, Q, k, coords)
-    return (
-        (T[:k, :k], lead, lambda v: embed(Q[:, :k] @ v)),
-        (T[k:, k:], rest, lambda v: embed(Q @ np.concatenate([Y @ v, v]))),
-    )
-
-
-def _group_modes(block, coords, embed, m, symmetry, cut, oscillatory=False):
-    """Eigen-modes of a small quasi-triangular cluster, grouped by value;
-    only the modes with amplitude above ``cut`` are returned."""
-    if block.shape[0] == 0 or np.linalg.norm(coords) == 0.0:
-        return []
-    vals, vecs = np.linalg.eig(block)
-    try:
-        combo = np.linalg.solve(vecs, coords.astype(complex))
-    except np.linalg.LinAlgError:
-        # defective cluster: report it as a single unresolved mode
-        full = embed(coords)
-        nrm = float(np.linalg.norm(full))
-        if nrm <= cut:
-            return []
-        direction = full / nrm
-        lead = vals[np.argmax(-vals.real)]
-        return [
-            DivergentMode(
-                eigenvalue=complex(lead),
-                growth_rate=float(-lead.real),
-                amplitude=nrm,
-                direction=direction,
-                component=_describe(direction, m, symmetry),
-                polynomial_growth=True,
-                oscillatory=oscillatory,
-            )
-        ]
-    groups = {}
-    for i, v in enumerate(vals):
-        key = (round(v.real, 9), round(abs(v.imag), 9))
-        groups.setdefault(key, []).append(i)
-    modes = []
-    for key, idx in sorted(groups.items()):
-        part = vecs[:, idx] @ combo[idx]
-        full = embed(part.real) + 1j * embed(part.imag)
-        amp = float(np.linalg.norm(full))
-        if amp <= cut:
-            continue
-        dirvec = full.real if np.linalg.norm(full.real) > 0 else full.imag
-        nrm = float(np.linalg.norm(dirvec))
-        direction = dirvec / nrm if nrm > 0 else dirvec
-        lam = complex(key[0], key[1])
-        modes.append(
-            DivergentMode(
-                eigenvalue=lam,
-                growth_rate=float(max(-lam.real, 0.0)),
-                amplitude=amp,
-                direction=direction,
-                component=_describe(direction, m, symmetry),
-                oscillatory=oscillatory,
-            )
+    T, Q = schur
+    lam = np.diag(T)
+    m = lam.size
+    label, centre = _clusters(np.concatenate([[0.0], lam]), etol)
+    own = label[1:]
+    groups, sizes = np.unique(own, return_counts=True)
+    forms = [
+        (T, Q, k) if (own[:k] == c).all() else scipy.linalg.schur(
+            A, output="complex",
+            sort=lambda z, c=c: own[np.argmin(np.abs(lam - z))] == c,
         )
-    modes.sort(key=lambda md: -md.amplitude)
-    return modes
+        for c, k in zip(groups, sizes)
+    ]
+    if [k for _, _, k in forms] != sizes.tolist():
+        raise InvariantViolationError(
+            "the eigenvalue clusters of the flow could not be separated"
+        )
+    V = np.hstack([Q[:, :k] for _, Q, k in forms])
+    vl = np.repeat(groups, sizes)
+    Vi = np.linalg.inv(V)
+    S = (vl[:, None] == vl) * (Vi @ A @ V)
+    beta = Vi @ b
+    rest = vl != 0
+    y = np.zeros(m, dtype=complex)
+    y[rest] = np.linalg.solve(S[np.ix_(rest, rest)], beta[rest])
+    W, Wi, M = (np.zeros((m + 1, m + 1), dtype=complex) for _ in range(3))
+    W[0, 0] = Wi[0, 0] = 1.0
+    W[1:, 0], W[1:, 1:] = -V @ y, V
+    Wi[1:, 0], Wi[1:, 1:] = y, Vi
+    M[1:, 0], M[1:, 1:] = np.where(rest, 0.0, beta), S
+    return V, Vi, W, Wi, S, M, centre[vl], centre[np.concatenate([[0], vl])]
+
+
+def _kron_sum(X, idx):
+    """Rows and columns ``idx`` of ``X (x) I + I (x) X``: the action of
+    ``X`` on both indices of a flattened pair."""
+    i, j = np.divmod(idx, X.shape[0])
+    return X[i[:, None], i] * (j[:, None] == j) + (i[:, None] == i) * X[j[:, None], j]
 
 
 def _describe(direction, m, symmetry, top=3):
@@ -569,7 +428,7 @@ def asymptotic_limit(fam, zero_tol=1e-8, proj_tol=1e-9):
 
     Verdicts:
 
-    * ``"limit"`` — every superoperator mode excited by the initial tensor
+    * ``"limit"`` — every mode of ``L_Z`` excited by the initial tensor
       either decays or lies in a semisimple zero cluster; the limit tensor
       (the zero-cluster spectral projection of the initial tensor) is
       returned.  Modes with amplitude below ``proj_tol`` relative to the
@@ -581,53 +440,114 @@ def asymptotic_limit(fam, zero_tol=1e-8, proj_tol=1e-9):
     * ``"oscillatory"`` — no growth, but an excited purely imaginary mode
       prevents convergence; reported distinctly, not as a limit.
 
-    Eigenvalue classification uses ``zero_tol`` relative to the spectral
-    scale.  The analysis is exact linear algebra on the superoperator, one
-    path for every superoperator: three sorted real Schur splittings peel
-    off (1) everything decaying, (2) the zero cluster, (3) the growing
-    cluster, leaving the oscillatory modes.  A diagonal block is split by
-    index, with no LAPACK call.
+    The analysis never forms ``L_Z``.  With ``Z(x) = A x + b``, each
+    component of the initial tensor is a quadratic form ``K[j, k]`` in
+    ``(1, x)``, which the flow of ``At = [[0, 0], [b, A]]`` moves.  In
+    cluster bases ``V`` of ``A`` and ``W`` of ``At``
+    (:func:`_cluster_bases`), the coefficients
+    ``C = (V^-1 (x) V^-1) K (W (x) W)`` split ``K`` into the spectral parts
+    of ``L_Z``: the entry ``C[a, b, p, q]`` evolves like
+    ``exp(-nu t)`` (times a polynomial within a defective cluster), with
+    ``nu = mu_p + mu_q - lam_a - lam_b`` from the cluster centres.  The
+    decaying, zero, growing and oscillatory parts are the entries whose
+    ``nu`` has real part above ``etol``, modulus at most ``etol``, real
+    part below ``-etol``, or none of these; each part, and each group of
+    entries with one ``nu`` (rounded to 9 digits, conjugates together),
+    maps back to flattened coefficients.  ``etol`` is ``zero_tol`` times
+    ``max(1, max |nu|)``, the spectral radius of ``L_Z`` on the sector.
+    ``defect`` is ``|L_Z v_zero|`` (:func:`lie_derivative`); a mode whose
+    part ``v`` has ``|(L_Z - nu) v| > 1e-6 |v|`` is flagged as growing
+    polynomially.  ``eigenvalues`` are the sums of the eigenvalues of ``A``
+    over the sector's pairs, in the order of the flattened slots.
     """
-    sup = fam.superop
-    M = sup.matrix
-    f0 = fam.flat0
-    m, symmetry = sup.m, sup.symmetry
-    scale = max(1.0, float(np.linalg.norm(f0)))
-    # the smallest of the 1-, inf- and Frobenius norms of M
-    absM = np.abs(M)
-    spec_scale = max(
-        1.0,
-        min(
-            float(absM.sum(axis=0).max()),
-            float(absM.sum(axis=1).max()),
-            float(np.linalg.norm(M)),
-        ),
-    )
-    etol = zero_tol * spec_scale
+    A, b = fam._affine
+    T0, f0 = fam.initial, fam.flat0
+    m, symmetry = T0.m, T0.symmetry
+    schur = scipy.linalg.schur(A, output="complex")
+    lam = np.diag(schur[0])
+    mu = np.concatenate([[0.0], lam])
+    pj, pk = _pair_index(m, symmetry)
+    p, q = np.triu_indices(m + 1)
+    eigenvalues = ((mu[p] + mu[q]) - (lam[pj] + lam[pk])[:, None]).ravel()
+    etol = zero_tol * max(1.0, float(np.abs(eigenvalues).max()))
+    V, Vi, W, Wi, S, Mw, cv, cw = _cluster_bases(A, b, schur, etol)
 
-    live, decay = _split(M, f0, lambda v: v, lambda re, im: re <= etol)
-    zero, rest = _split(*live, lambda re, im: re * re + im * im <= etol * etol)
-    grow, osc = _split(*rest, lambda re, im: re < -etol)
-    eigenvalues = np.concatenate([_quasi_eigs(live[0]), _quasi_eigs(decay[0])])
-    v_zero = zero[2](zero[1])
-    defect = float(np.linalg.norm(M @ v_zero))
+    K = np.empty((m, m, m + 1, m + 1))
+    K[..., 0, 0] = T0.c0
+    K[..., 0, 1:] = K[..., 1:, 0] = 0.5 * T0.c1
+    K[..., 1:, 1:] = T0.c2
+    C = _congruence(Vi, W.T @ K @ W).reshape(m * m, -1)
+    nu = (cw[:, None] + cw).ravel() - (cv[:, None] + cv).reshape(-1, 1)
+    # flattened coefficients of a part X of C are VV X WW^T: the rows of
+    # V (x) V at the sector's pairs, and the columns of Wi (x) Wi at the
+    # coefficient slots, with c1 = K[0, l] + K[l, 0]
+    VV = (V[pj, :, None] * V[pk, None, :]).reshape(pj.size, -1)
+    WW = ((1.0 + ((p == 0) & (q > 0)))[:, None, None]
+          * Wi[:, p].T[:, :, None] * Wi[:, q].T[:, None, :]).reshape(p.size, -1)
 
-    grow_vec = grow[2](grow[1])
-    # a trailing part in full coordinates is its parent's less the leading part
+    decay = nu.real > etol
+    zero = np.abs(nu) <= etol
+    grow = nu.real < -etol
+    osc = ~(decay | zero | grow)
+    parts = [(VV @ (mask * C) @ WW.T).real.ravel()
+             for mask in (zero, grow, osc, decay)]
     amplitudes = {
-        "zero": float(np.linalg.norm(v_zero)),
-        "growing": float(np.linalg.norm(grow_vec)),
-        "oscillatory": float(np.linalg.norm(rest[2](rest[1]) - grow_vec)),
-        "decaying": float(np.linalg.norm(f0 - live[2](live[1]))),
+        key: float(np.linalg.norm(part))
+        for key, part in zip(("zero", "growing", "oscillatory", "decaying"), parts)
     }
-    cut = proj_tol * scale
-    grow_modes = _group_modes(*grow, m, symmetry, cut)
-    osc_modes = _group_modes(*osc, m, symmetry, cut, oscillatory=True)
+    v_zero = parts[0]
+    limit = unflatten_field(v_zero, m, symmetry)
+    defect = float(np.linalg.norm(flatten_field(lie_derivative(fam.field, limit))))
+
+    cut = proj_tol * max(1.0, float(np.linalg.norm(f0)))
+    # |VV| <= |V|^2 and |WW| <= 2 |Wi|^2 (Frobenius norms) bound the flat
+    # norm of a group by its norm in C: a group below cut / bound is not
+    # excited
+    bound = 2.0 * (np.linalg.norm(V) * np.linalg.norm(Wi)) ** 2
+    keys = np.round(nu.real, 9) + 1j * np.round(np.abs(nu.imag), 9)
+
+    def modes_of(mask, oscillatory=False):
+        """Excited modes of one part: its entries grouped by ``keys``."""
+        if not mask.any():
+            return []
+        vals, which = np.unique(keys[mask], return_inverse=True)
+        weight = np.sqrt(np.bincount(which, np.abs(C[mask]) ** 2, vals.size))
+        modes = []
+        for key in vals[weight * bound > cut]:
+            sel = mask & (keys == key)
+            rows, cols = np.flatnonzero(sel.any(axis=1)), np.flatnonzero(sel.any(axis=0))
+            block = np.ix_(rows, cols)
+            X = np.where(sel[block], C[block], 0.0)
+            full = (VV[:, rows] @ X @ WW[:, cols].T).ravel()
+            amp = float(np.linalg.norm(full))
+            if amp <= cut:
+                continue
+            # (L_Z - nu) X in cluster coordinates: -(S (+) S) X + X (M (+) M) - nu X
+            R = X @ _kron_sum(Mw, cols) - _kron_sum(S, rows) @ X - nu[block] * X
+            defective = np.linalg.norm(VV[:, rows] @ R @ WW[:, cols].T) > 1e-6 * amp
+            dirvec = full.real if np.linalg.norm(full.real) > 0 else full.imag
+            direction = dirvec / np.linalg.norm(dirvec)
+            modes.append(
+                DivergentMode(
+                    eigenvalue=complex(key),
+                    growth_rate=float(max(-key.real, 0.0)),
+                    amplitude=amp,
+                    direction=direction,
+                    component=_describe(direction, m, symmetry),
+                    polynomial_growth=bool(defective),
+                    oscillatory=oscillatory,
+                )
+            )
+        modes.sort(key=lambda md: -md.amplitude)
+        return modes
+
+    grow_modes = modes_of(grow)
+    osc_modes = modes_of(osc, oscillatory=True)
     zero_defective = amplitudes["zero"] > cut and defect > 1e-6 * amplitudes["zero"]
 
-    limit = limit_flat = None
+    limit_flat = None
     if grow_modes or zero_defective:
-        verdict, modes = "divergent", grow_modes
+        verdict, modes, limit = "divergent", grow_modes, None
         if zero_defective:
             direction = v_zero / amplitudes["zero"]
             modes.append(
@@ -641,11 +561,9 @@ def asymptotic_limit(fam, zero_tol=1e-8, proj_tol=1e-9):
                 )
             )
     elif osc_modes:
-        verdict, modes = "oscillatory", osc_modes
+        verdict, modes, limit = "oscillatory", osc_modes, None
     else:
-        verdict, modes = "limit", []
-        limit_flat = v_zero
-        limit = unflatten_field(limit_flat, m, symmetry)
+        verdict, modes, limit_flat = "limit", [], v_zero
     return LimitAnalysis(
         verdict=verdict,
         limit=limit,
@@ -863,8 +781,17 @@ def analyze_contraction(Z, basis, zero_tol=1e-8, proj_tol=1e-9):
     contracted product tables when both sectors converge (with axiom
     residuals and elementary isomorphism invariants of the contracted Lie
     part), or — for divergent flows — the divergent modes together with
-    the limit-set restriction of the static products.
+    the limit-set restriction of the static products.  Raises
+    :class:`InvariantViolationError` before allocating when the working
+    arrays would not fit in memory: a dozen ``(m, m, m, m)`` float arrays
+    (the tensor fields and the Lie derivative of a limit) and ten complex
+    ``(m, m, m + 1, m + 1)`` arrays of :func:`asymptotic_limit`.
     """
+    m = basis.m
+    _check_memory(
+        8 * 12 * m**4 + 16 * 10 * (m * (m + 1)) ** 2,
+        f"the contraction analysis at m={m}",
+    )
     famL = flow_family(Z, poisson_field(basis))
     famR = flow_family(Z, symmetric_field(basis))
     anaL = asymptotic_limit(famL, zero_tol, proj_tol)

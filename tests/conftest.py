@@ -61,3 +61,36 @@ def tracked_product(a, b):
     c3 = np.einsum("i,jk->ijk", a.c1, b.c2) + np.einsum("i,jk->ijk", b.c1, a.c2)
     c3 = sum(c3.transpose(p) for p in itertools.permutations(range(3))) / 6.0
     return Poly(a.m, a.c0 * b.c0, a.c0 * b.c1 + b.c0 * a.c1, c2), c3
+
+
+def dense_superoperator(Z, symmetry):
+    """Dense matrix ``M`` of the Lie derivative along an affine ``Z`` on the
+    flattened coefficients of one symmetry sector, so that
+    ``flat(T_t) = expm(-t M) flat(T_0)``; the oracle of the transport and
+    spectral tests (``N x N``, with ``N`` = 1,260 and 1,620 at n = 3).
+
+    Column ``b`` is the flattened Lie derivative of the tensor whose flat
+    coefficient vector is ``e_b``; all columns come from one
+    ``lie_derivative`` call on the stack of those tensors, written directly:
+    one scatter per coefficient kind, then the mirror."""
+    from geomstates import PolyTensorField, flatten_field, lie_derivative
+    from geomstates.contraction import _pair_index, coeff_size
+
+    m = Z.m
+    pj, pk = _pair_index(m, symmetry)
+    q = coeff_size(m)
+    B = pj.size * q
+    base = np.arange(pj.size) * q  # flat index of each pair's c0
+    j, k = pj[:, None], pk[:, None]
+    ls = np.arange(m)
+    iu = np.triu_indices(m)
+    tri = base[:, None] + 1 + m + np.arange(iu[0].size)
+    c0 = np.zeros((B, m, m))
+    c1 = np.zeros((B, m, m, m))
+    c2 = np.zeros((B, m, m, m, m))
+    c0[base, pj, pk] = 1.0
+    c1[base[:, None] + 1 + ls, j, k, ls] = 1.0
+    c2[tri, j, k, iu[0], iu[1]] = 1.0
+    c2[tri, j, k, iu[1], iu[0]] = 1.0
+    stack = PolyTensorField._mirrored(c0, c1, c2, symmetry)
+    return np.ascontiguousarray(flatten_field(lie_derivative(Z, stack)).T)

@@ -44,7 +44,7 @@ from geomstates import (
     verify_contracted_axioms,
     vf_from_linear_map,
 )
-from conftest import random_hermitian, random_state_coords
+from conftest import dense_superoperator, random_hermitian, random_state_coords
 
 SQ3 = np.sqrt(3.0)
 
@@ -159,7 +159,7 @@ def test_criterion_2_tensor_families(basis2, capsys):
         # independent oracle: classical RK4 on the coefficient transport ODE
         for T in (poisson_field(basis2), symmetric_field(basis2)):
             fam = flow_family(Z, T)
-            M = fam.superop.matrix
+            M = dense_superoperator(Z, T.symmetry)
             v = fam.flat0.copy()
             dt, steps = 1e-4, 10000
             for _ in range(steps):

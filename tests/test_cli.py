@@ -506,16 +506,33 @@ class TestExitCodes:
         )
 
     def test_oversize_superoperator_fails_cleanly(self, tmp_path):
-        scen = tmp_path / "ququart.json"
+        """d = 8 (m = 63) is the smallest size whose contraction figure,
+        3.83 GiB, exceeds the 3 GiB limit."""
+        scen = tmp_path / "octet.json"
         scen.write_text(json.dumps({
             "model": "massive-decoherence",
-            "parameters": {"d": 4},
+            "parameters": {"d": 8},
             "outputs": ["contraction"],
         }))
         proc = self._run_in_3_gib([str(scen), "--out", str(tmp_path)])
         assert proc.returncode == 1, proc.stderr
-        assert "error:" in proc.stderr and "GiB" in proc.stderr
-        assert "Traceback" not in proc.stderr
+        assert proc.stderr.startswith("error: the contraction analysis at m=63")
+        assert "GiB" in proc.stderr and "Traceback" not in proc.stderr
+        assert not list(tmp_path.glob("*_report.json"))
+
+    def test_ququart_contraction_fits(self, tmp_path):
+        """n = 4 contraction runs under the same 3 GiB limit and writes its
+        report."""
+        scen = tmp_path / "ququart.json"
+        scen.write_text(json.dumps({
+            "name": "ququart",
+            "model": "massive-decoherence",
+            "parameters": {"d": 4, "points": 10},
+        }))
+        proc = self._run_in_3_gib([str(scen), "--report", "--out", str(tmp_path)])
+        assert proc.returncode == 0, proc.stderr
+        assert "contraction verdict: limit" in proc.stdout
+        assert json.loads((tmp_path / "ququart_report.json").read_text())["verdict"] == "limit"
 
     @pytest.mark.parametrize(
         "args, what",
@@ -661,12 +678,14 @@ class TestCsvArtifacts:
 
 class TestTensorFamily:
     def test_three_level_family_needs_no_superoperator(self, tmp_path, monkeypatch):
-        import geomstates.contraction as con
+        """Writing a tensor family is transport alone: no spectral
+        analysis, so no Schur factorisation."""
+        import scipy.linalg
 
         calls = []
-        real = con.build_superoperator
+        real = scipy.linalg.schur
         monkeypatch.setattr(
-            con, "build_superoperator", lambda *a: calls.append(a) or real(*a)
+            scipy.linalg, "schur", lambda *a, **k: calls.append(a) or real(*a, **k)
         )
         scen = tmp_path / "fam.json"
         scen.write_text(json.dumps({

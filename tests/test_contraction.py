@@ -1,7 +1,5 @@
 """Tensor-field transport along flows and asymptotic algebra contraction."""
 
-from types import SimpleNamespace
-
 import numpy as np
 import pytest
 import scipy.linalg
@@ -18,7 +16,6 @@ from geomstates import (
     analyze_contraction,
     asymptotic_limit,
     build_basis,
-    build_superoperator,
     contract_3level_decoherence,
     extract_contracted_products,
     flatten_field,
@@ -47,7 +44,7 @@ from geomstates import (
     verify_contracted_axioms,
 )
 from geomstates.contraction import coeff_size
-from conftest import random_hermitian, tracked_product
+from conftest import dense_superoperator, random_hermitian, tracked_product
 
 SQ3 = np.sqrt(3.0)
 
@@ -94,7 +91,7 @@ class TestLieDerivative:
             (poisson_field(basis), "antisymmetric"),
             (symmetric_field(basis), "symmetric"),
         ):
-            M = build_superoperator(Z, sym).matrix
+            M = dense_superoperator(Z, sym)
             direct = flatten_field(lie_derivative(Z, T))
             assert np.abs(direct - M @ flatten_field(T)).max() < 1e-12
 
@@ -131,14 +128,14 @@ class TestLieDerivative:
 
         Z = model_gisin(basis2, basis2.traceless_observable([0.0, 0.0, 1.0]))
         with pytest.raises(InvariantViolationError):
-            build_superoperator(Z, "antisymmetric")
+            flow_family(Z, poisson_field(basis2))
 
 
 class TestFlowFamily:
     def test_semigroup_property(self, basis2, rng):
         Z = lindblad_vf(model_qubit_dissipation(0.7))
         fam = flow_family(Z, poisson_field(basis2))
-        M = fam.superop.matrix
+        M = dense_superoperator(Z, "antisymmetric")
         for _ in range(3):
             s, t = rng.uniform(0.0, 5.0, size=2)
             lhs = fam.flat_at(s + t)
@@ -217,7 +214,7 @@ class TestFlowFamily:
         coefficient-space transport equation."""
         Z = lindblad_vf(model_three_level_decay())
         fam = flow_family(Z, poisson_field(basis3))
-        M = fam.superop.matrix
+        M = dense_superoperator(Z, "antisymmetric")
         v = fam.flat0.copy()
         t_end, dt = 0.5, 1e-4
         steps = int(round(t_end / dt))
@@ -375,6 +372,24 @@ class TestAsymptotics:
         assert any(m.polynomial_growth for m in an.modes)
         assert all(abs(m.eigenvalue) < 1e-10 for m in an.modes if m.polynomial_growth)
 
+    @pytest.mark.parametrize(
+        "symmetry, c0, polynomial",
+        [("symmetric", np.diag([0.0, 1, 0]), True),
+         ("antisymmetric", np.array([[0.0, 1, 0], [-1, 0, 0], [0, 0, 0]]), False)],
+    )
+    def test_defective_growing_mode(self, symmetry, c0, polynomial):
+        """Along the Jordan block ``A = [[1, 1], [0, 1]]`` the symmetric
+        ``T^{22} = 1`` flows into ``T^{11} = t^2 e^{2t}``: a rate-2 mode that
+        also grows polynomially.  The antisymmetric ``T^{12} = 1`` only
+        scales, by ``det e^{tA} = e^{2t}``."""
+        A = np.array([[1.0, 1, 0], [0, 1, 0], [0, 0, 0]])
+        Z = PolyVectorField.from_affine(A, np.zeros(3))
+        T = PolyTensorField._of(c0, np.zeros((3, 3, 3)), np.zeros((3, 3, 3, 3)), symmetry)
+        an = asymptotic_limit(flow_family(Z, T))
+        assert an.verdict == "divergent" and len(an.modes) == 1
+        assert an.modes[0].growth_rate == pytest.approx(2.0, abs=1e-12)
+        assert an.modes[0].polynomial_growth is polynomial
+
     def test_random_affine_models_contract_to_algebras(self, rng):
         """Generic two-level Markov generators yield limits whose product
         tables satisfy the Lie-Jordan axioms."""
@@ -471,6 +486,20 @@ class TestFullAnalysis:
         assert not any(ln.startswith("{x1,x2}") for ln in lines_m)
         assert rm.axioms.max_residual() < 1e-9
         assert lie_algebra_dimensions(rm.tables.c_full) == (6, 0)
+
+    def test_ququart_decoherence_cross_check(self):
+        """Criterion 5 one level up.  At d = 4 massive decoherence damps the
+        coherences at rates 2 (|m - n| odd) and 4 (|m - n| = 2), so brackets
+        of neighbouring coherences survive; pure decoherence with rates
+        (2, 0, 2) damps them at 1 and 2, the same ratio, and contracts onto
+        the same tables."""
+        basis = build_basis(4)
+        rm = analyze_contraction(model_massive_decoherence(4, 1.0), basis)
+        rp = analyze_contraction(model_pure_decoherence(4, (2.0, 0.0, 2.0)), basis)
+        assert rm.verdict == rp.verdict == "limit"
+        assert (rm.tables.poisson - rp.tables.poisson).max_abs() <= 1e-8
+        assert (rm.tables.jordan - rp.tables.jordan).max_abs() <= 1e-8
+        assert max(rm.axioms.max_residual(), rp.axioms.max_residual()) < 1e-9
 
     def test_decoherence_mismatch_guard(self, monkeypatch):
         import geomstates.dynamics as dyn
@@ -624,7 +653,7 @@ class TestGeometricTransport:
         basis = build_basis(n)
         for T in (poisson_field(basis), symmetric_field(basis)):
             fam = flow_family(Z, T)
-            M = fam.superop.matrix
+            M = dense_superoperator(Z, T.symmetry)
             for t in times:
                 want = scipy.linalg.expm(-t * M) @ fam.flat0
                 got = fam.flat_at(t)
@@ -658,20 +687,6 @@ class TestGeometricTransport:
             assert np.array_equal(Tt.c1, sgn * Tt.c1.transpose(1, 0, 2))
             assert np.array_equal(Tt.c2, Tt.c2.transpose(0, 1, 3, 2))
 
-    def test_family_builds_no_superoperator_until_asked(self, basis3, monkeypatch):
-        import geomstates.contraction as con
-
-        calls = []
-        real = con.build_superoperator
-        monkeypatch.setattr(
-            con, "build_superoperator", lambda *a: calls.append(a) or real(*a)
-        )
-        fam = flow_family(lindblad_vf(model_three_level_decay()), poisson_field(basis3))
-        fam.tensor_at(1.0)
-        assert calls == []
-        assert fam.superop.size == 28 * coeff_size(8)
-        assert fam.superop is fam.superop and len(calls) == 1
-
 
 # ------------------------------------------------ one spectral classifier
 
@@ -693,17 +708,33 @@ def _is_diagonal(M):
     return np.count_nonzero(M) == np.count_nonzero(np.diag(M))
 
 
-def _lapack_only(monkeypatch):
-    """Send every split through ``scipy.linalg.schur``."""
-    import geomstates.contraction as con
+def _driven_damped_qubit(gamma):
+    """``H = sigma_x / 2`` and one jump ``sqrt(gamma) sigma_-``.  At
+    ``gamma = 2`` the flow matrix ``A`` has a defective eigenvalue -3/2: a
+    Liouvillian exceptional point."""
+    sx = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
+    sm = np.array([[0.0, 0.0], [1.0, 0.0]], dtype=complex)
+    return lindblad_vf(LindbladModel(build_basis(2), H=sx / 2, V=[np.sqrt(gamma) * sm]))
 
-    monkeypatch.setattr(con, "_split", con._split_schur)
+
+def _test_models():
+    """Every n <= 3 flow of these tests, with its n."""
+    return [
+        (model_phase_damping(1.0), 2),
+        (model_qubit_dissipation(1.0), 2),
+        (model_bloch_field(1.3), 2),
+        (_random_lindblad(2, 11), 2),
+        (model_three_level_decay(), 3),
+        (model_massive_decoherence(3, 1.0), 3),
+        (model_pure_decoherence(3, (1.0, 1.0)), 3),
+        (_random_lindblad(3, 11), 3),
+    ]
 
 
 class TestOneClassifier:
-    """``asymptotic_limit`` classifies every superoperator through the same
-    three ``_split`` calls; a diagonal block is split by index, any other
-    through LAPACK."""
+    """``asymptotic_limit`` classifies every flow from the cluster bases of
+    its ``m x m`` matrices; the dense matrix of ``L_Z`` from
+    ``conftest.dense_superoperator`` is the oracle."""
 
     @pytest.mark.parametrize("make", [model_phase_damping, model_qubit_dissipation])
     def test_unitary_conjugate_agrees(self, basis2, make, rng):
@@ -722,7 +753,7 @@ class TestOneClassifier:
         ys = rng.normal(size=(6, 3))
         for T in (poisson_field(basis2), symmetric_field(basis2)):
             fam, famc = flow_family(Z, T), flow_family(Zc, T)
-            assert not _is_diagonal(famc.superop.matrix)
+            assert not _is_diagonal(dense_superoperator(Zc, T.symmetry))
             an, anc = asymptotic_limit(fam), asymptotic_limit(famc)
             assert an.verdict == anc.verdict == "limit"
             for a, b in zip(_sorted_eigs(an.eigenvalues), _sorted_eigs(anc.eigenvalues)):
@@ -730,28 +761,7 @@ class TestOneClassifier:
             want = np.einsum("ja,nab,kb->njk", O, an.limit(ys @ O), O)
             assert np.abs(anc.limit(ys) - want).max() <= 1e-10
 
-    def test_phase_damping_takes_the_diagonal_route(self, basis2, monkeypatch):
-        """The permutation route and LAPACK agree on a diagonal
-        superoperator, which calls no Schur factorisation."""
-        calls = []
-        real = scipy.linalg.schur
-        monkeypatch.setattr(
-            scipy.linalg, "schur", lambda *a, **k: calls.append(a) or real(*a, **k)
-        )
-        Z = lindblad_vf(model_phase_damping(0.7))
-        fam = flow_family(Z, symmetric_field(basis2))
-        assert _is_diagonal(fam.superop.matrix)
-        an = asymptotic_limit(fam)
-        assert calls == []
-        _lapack_only(monkeypatch)
-        ref = asymptotic_limit(fam)
-        assert len(calls) == 3
-        assert an.verdict == ref.verdict == "limit"
-        assert np.abs(an.limit_flat - ref.limit_flat).max() <= 1e-14
-        for key, amp in ref.amplitudes.items():
-            assert abs(an.amplitudes[key] - amp) <= 1e-14
-
-    @pytest.mark.parametrize("lapack", [False, True])
+    @pytest.mark.parametrize("oracle", [False, True])
     @pytest.mark.parametrize(
         "slots, eps, modes",
         [
@@ -761,14 +771,13 @@ class TestOneClassifier:
         ],
         ids=["rates-1-3-below", "rates-1-3-above", "rate-3-twice"],
     )
-    def test_verdict_comes_from_excited_modes(self, lapack, slots, eps, modes, monkeypatch):
+    def test_verdict_comes_from_excited_modes(self, oracle, slots, eps, modes):
         """Two growing slots of 8e-10 each, at rates 3 and 1, sit below the
         1e-9 cut, while their joint norm, 1.13e-9, is above it: no mode is
-        excited and the flow has a limit, on both routes.  At 2e-9 both
-        rates are listed.  Two slots of 8e-10 that share the rate 3 form
-        one mode of amplitude 1.13e-9, so that flow diverges."""
-        if lapack:
-            _lapack_only(monkeypatch)
+        excited and the flow has a limit.  At 2e-9 both rates are listed.
+        Two slots of 8e-10 that share the rate 3 form one mode of amplitude
+        1.13e-9, so that flow diverges.  With ``oracle``, the expected modes
+        are the excited eigenvalue groups of the dense ``L_Z`` instead."""
         Z = PolyVectorField.from_affine(np.diag([1.0, -1, -1]), np.zeros(3))
         c1 = np.zeros((3, 3, 3))
         c2 = np.zeros((3, 3, 3, 3))
@@ -776,7 +785,18 @@ class TestOneClassifier:
         for slot in slots:
             c1[slot] = eps
         T = PolyTensorField._of(np.zeros((3, 3)), c1, c2, "symmetric")
-        an = asymptotic_limit(flow_family(Z, T))
+        fam = flow_family(Z, T)
+        an = asymptotic_limit(fam)
+        if oracle:
+            vals, vecs = np.linalg.eig(dense_superoperator(Z, "symmetric"))
+            coef = np.linalg.solve(vecs, fam.flat0)
+            cut = 1e-9 * max(1.0, np.linalg.norm(fam.flat0))
+            modes = []
+            for rate in np.unique(np.round(-vals.real[vals.real < -1e-8], 9)):
+                idx = np.round(-vals.real, 9) == rate
+                amp = np.linalg.norm(vecs[:, idx] @ coef[idx])
+                if amp > cut:
+                    modes.append((rate, amp))
         assert an.amplitudes["growing"] > 1e-9
         if not modes:
             assert an.verdict == "limit" and an.modes == []
@@ -789,66 +809,65 @@ class TestOneClassifier:
                 assert rate == pytest.approx(want_rate, abs=1e-12)
                 assert amp == pytest.approx(want_amp, rel=1e-12)
 
-    @pytest.mark.parametrize("diagonal", [True, False])
-    def test_pure_decay_has_empty_leading_part(self, diagonal, rng):
-        """No Lie-derivative superoperator decays everywhere (``x_j x_k``
-        is invariant under every linear flow), so the reference is a
-        synthetic one whose spectrum lies in Re > 0: the first split keeps
-        nothing, the empty parts pass through the other two, and the whole
-        initial tensor decays."""
-        from geomstates.contraction import LieDerivativeSuperoperator, _split
+    def test_eigenvalues_are_the_spectrum_of_the_superoperator(self):
+        """The reported eigenvalues, sums over the sector's pairs of the
+        eigenvalues of ``A``, are those of the dense ``L_Z`` as multisets."""
+        for model, n in _test_models():
+            Z = model if isinstance(model, PolyVectorField) else lindblad_vf(model)
+            basis = build_basis(n)
+            for T in (poisson_field(basis), symmetric_field(basis)):
+                got = _sorted_eigs(asymptotic_limit(flow_family(Z, T)).eigenvalues)
+                want = _sorted_eigs(np.linalg.eigvals(dense_superoperator(Z, T.symmetry)))
+                assert len(got) == len(want)
+                assert np.abs(np.subtract(got, want)).max() <= 1e-8
 
-        m, sym = 2, "antisymmetric"
-        N = len(tensor_pairs(m, sym)) * coeff_size(m)
-        lam = rng.uniform(0.5, 2.0, N)
-        if diagonal:
-            M = np.diag(lam)
-        else:
-            S = rng.normal(size=(N, N))
-            M = S @ np.diag(lam) @ np.linalg.inv(S)
-        f0 = rng.normal(size=N)
-        live, decay = _split(M, f0, lambda v: v, lambda re, im: re <= 1e-8)
-        assert live[0].shape == (0, 0) and live[1].shape == (0,)
-        assert np.array_equal(live[2](live[1]), np.zeros(N))
-        assert decay[0].shape == (N, N)
-        assert np.abs(decay[2](decay[1]) - f0).max() <= 1e-12 * np.abs(f0).max()
-        zero, rest = _split(*live, lambda re, im: re * re + im * im <= 1e-16)
-        assert zero[0].shape == rest[0].shape == (0, 0)
+    def test_exceptional_point_limits_match_expm(self):
+        """At ``gamma = 2`` the eigenvectors of ``A`` are parallel
+        (``cond(V)`` ~ 7e7), but its cluster bases are not: both sectors
+        converge, to the limit of ``expm(-20 M) flat0``."""
+        Z = _driven_damped_qubit(2.0)
+        basis = build_basis(2)
+        for T in (poisson_field(basis), symmetric_field(basis)):
+            fam = flow_family(Z, T)
+            an = asymptotic_limit(fam)
+            assert an.verdict == "limit" and an.modes == []
+            want = scipy.linalg.expm(-20.0 * dense_superoperator(Z, T.symmetry)) @ fam.flat0
+            assert np.abs(an.limit_flat - want).max() <= 5e-6 * np.abs(fam.flat0).max()
 
-        fam = SimpleNamespace(
-            superop=LieDerivativeSuperoperator(m=m, symmetry=sym, matrix=M), flat0=f0
-        )
+    @pytest.mark.parametrize(
+        "gamma, verdict, eigenvalues",
+        [(2.0 - 1e-6, "oscillatory", [0.001j, 0.002j]), (2.0 + 1e-6, "divergent", [-0.001, -0.002])],
+    )
+    def test_next_to_the_exceptional_point(self, gamma, verdict, eigenvalues):
+        """Off the exceptional point the defective pair splits by
+        ``2 sqrt(|gamma - 2| / 4)`` = 1e-3, into a complex pair below 2 and
+        a real pair above it.  The Poisson tensor still converges, while
+        the symmetric one has modes at the splittings."""
+        Z = _driven_damped_qubit(gamma)
+        basis = build_basis(2)
+        fam = flow_family(Z, poisson_field(basis))
         an = asymptotic_limit(fam)
-        assert an.verdict == "limit" and an.modes == []
-        assert np.array_equal(an.limit_flat, np.zeros(N))
-        assert an.amplitudes["decaying"] == pytest.approx(np.linalg.norm(f0), rel=1e-12)
-        assert an.amplitudes["zero"] == an.amplitudes["growing"] == 0.0
-        assert an.defect == 0.0
-        assert np.abs(np.sort(an.eigenvalues.real) - np.sort(lam)).max() <= 1e-9
+        assert an.verdict == "limit"
+        want = scipy.linalg.expm(-20.0 * dense_superoperator(Z, "antisymmetric")) @ fam.flat0
+        assert np.abs(an.limit_flat - want).max() <= 5e-6
+        an = asymptotic_limit(flow_family(Z, symmetric_field(basis)))
+        assert an.verdict == verdict
+        got = sorted((md.eigenvalue for md in an.modes), key=abs)
+        assert np.abs(np.subtract(got, eigenvalues)).max() <= 1e-9
+        assert not any(md.polynomial_growth for md in an.modes)
+        assert all(md.oscillatory == (verdict == "oscillatory") for md in an.modes)
 
-    def test_zero_coupling_skips_the_sylvester_solve(self, rng):
-        """Reference: LAPACK ``trsyl`` on the same block-diagonal
-        quasi-triangular ``T``; ``Y`` is 0 either way (``trsyl`` writes
-        some zeros with a negative sign), and the split coordinates are
-        bitwise equal."""
-        from scipy.linalg import get_lapack_funcs
+    def test_random_ququart_in_under_a_second(self):
+        """A seeded generic n = 4 flow excites dozens of growing modes out of
+        thousands of eigenvalue groups; both sectors take well under a
+        second."""
+        import time
 
-        from geomstates.contraction import _split_leading
-
-        T11 = np.triu(rng.normal(size=(4, 4)))
-        T11[2, 1] = -abs(T11[1, 2]) - 0.5  # a 2x2 block: a complex pair
-        T11[1, 1] = T11[2, 2]
-        T22 = np.triu(rng.normal(size=(3, 3)))
-        T = scipy.linalg.block_diag(T11, T22)
-        Q, _ = np.linalg.qr(rng.normal(size=(7, 7)))
-        vec = rng.normal(size=7)
-        lead, rest, Y = _split_leading(T, Q, 4, vec)
-
-        trsyl = get_lapack_funcs(("trsyl",), (T11, T22))[0]
-        x, sc, info = trsyl(T11, T22, -T[:4, 4:], isgn=-1)
-        assert info == 0
-        Yref = x / sc
-        phi = Q.T @ vec
-        assert np.array_equal(Y, Yref) and not Y.any()
-        assert (phi[:4] - Yref @ phi[4:]).tobytes() == lead.tobytes()
-        assert phi[4:].tobytes() == rest.tobytes()
+        basis = build_basis(4)
+        Z = lindblad_vf(_random_lindblad(4, 11))
+        t0 = time.perf_counter()
+        an = [asymptotic_limit(flow_family(Z, T))
+              for T in (poisson_field(basis), symmetric_field(basis))]
+        assert time.perf_counter() - t0 < 1.0
+        assert [a.verdict for a in an] == ["divergent", "divergent"]
+        assert all(len(a.modes) > 10 for a in an)

@@ -7,6 +7,8 @@ the checkout that holds this script):
 
 * every builtin scenario at ``--points 60``, with and without ``--report``,
   and at ``--points 0``, ``1`` and ``2`` without it;
+* ``--points 60 --report`` of massive and pure decoherence at d = 4, from
+  scenario files;
 * two seed-401 rounds of the ``qubit-sweep``, ``ququart-fields`` and
   ``qutrit-report`` scenario files of ``perfbench.workloads``, through
   ``geomstates.cli.run_scenario``.
@@ -21,6 +23,7 @@ from __future__ import annotations
 
 import contextlib
 import io
+import json
 import sys
 from pathlib import Path
 
@@ -29,6 +32,8 @@ SEED = 401
 ROUNDS = 2
 # (--points, --report) of each builtin run
 BUILTIN_RUNS = ((60, False), (60, True), (0, False), (1, False), (2, False))
+# models run at d = 4 with --report
+QUQUART_REPORTS = ("massive-decoherence", "pure-decoherence")
 
 
 def _log(out, label, code, stdout, stderr):
@@ -49,16 +54,27 @@ def main(argv):
     from geomstates.errors import GeomstatesError
     from perfbench import workloads
 
+    def run_cli(label, argv):
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            code = cli.main(argv)
+        _log(out, label, code, stdout.getvalue(), stderr.getvalue())
+
     (out / "logs").mkdir(parents=True, exist_ok=True)
     for name in cli.REGISTRY:
         for points, report in BUILTIN_RUNS:
             label = f"{name}-points{points}" + ("-report" if report else "")
-            argv = ["run", name, "--out", str(out / "builtin" / label),
-                    "--points", str(points)] + (["--report"] if report else [])
-            stdout, stderr = io.StringIO(), io.StringIO()
-            with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
-                code = cli.main(argv)
-            _log(out, label, code, stdout.getvalue(), stderr.getvalue())
+            run_cli(label, ["run", name, "--out", str(out / "builtin" / label),
+                            "--points", str(points)] + (["--report"] if report else []))
+
+    (out / "ququart").mkdir(exist_ok=True)
+    for name in QUQUART_REPORTS:
+        label = f"{name}-d4-points60-report"
+        scenario = out / "ququart" / f"{label}.json"
+        scenario.write_text(json.dumps({"name": f"{name}-d4", "model": name,
+                                        "parameters": {"d": 4, "points": 60}}))
+        run_cli(label, ["run", str(scenario), "--out", str(out / "ququart" / label),
+                        "--report"])
 
     for workload in WORKLOADS:
         work_dir = out / "scenarios" / workload
