@@ -121,8 +121,8 @@ class ObservableBasis:
         self.dim = n * n
         self.m = n * n - 1
         self.elements = [np.eye(n, dtype=complex)] + _traceless_basis(n)
+        self._stack = E = np.stack(self.elements)
 
-        E = np.stack(self.elements)
         lie = np.einsum("iab,jbc->ijac", E, E)
         lie = -0.5j * (lie - lie.transpose(1, 0, 2, 3))
         jor = np.einsum("iab,jbc->ijac", E, E)
@@ -130,11 +130,18 @@ class ObservableBasis:
         self.lie_constants = self._coeff_table(lie)
         self.jordan_constants = self._coeff_table(jor)
 
+    def expand(self, matrices):
+        """Complex expansion coefficients ``(..., dim)`` of a stack
+        ``(..., n, n)`` of matrices: ``tr(M)/n``, then ``tr(M s_k)/2``.
+        Hermitian matrices have real coefficients."""
+        M = np.asarray(matrices, dtype=complex)
+        out = 0.5 * np.einsum("...ab,kba->...k", M, self._stack)
+        out[..., 0] = np.einsum("...aa->...", M) / self.n
+        return out
+
     def _coeff_table(self, prods):
         """Expand a (dim, dim, n, n) array of products over the basis."""
-        E = np.stack(self.elements)
-        tab = 0.5 * np.einsum("ijab,kba->ijk", prods, E)
-        tab[:, :, 0] = np.einsum("ijaa->ij", prods) / self.n
+        tab = self.expand(prods)
         imag = float(np.abs(tab.imag).max())
         if imag > 1e-12:
             raise NonHermitianError(
@@ -153,11 +160,7 @@ class ObservableBasis:
         scale = max(1.0, float(np.abs(A).max()))
         if float(np.abs(A - A.conj().T).max()) > tol * scale:
             raise NonHermitianError("matrix is not Hermitian within tolerance")
-        out = np.empty(self.dim)
-        out[0] = A.trace().real / self.n
-        for j in range(1, self.dim):
-            out[j] = 0.5 * np.einsum("ab,ba->", A, self.elements[j]).real
-        return out
+        return np.ascontiguousarray(self.expand(A).real)
 
     def matrix_of(self, coeffs):
         coeffs = np.asarray(coeffs, dtype=float)
@@ -165,7 +168,7 @@ class ObservableBasis:
             raise DimensionError(
                 f"coefficients must have length {self.dim}, got {coeffs.shape}"
             )
-        return np.einsum("i,iab->ab", coeffs, np.stack(self.elements))
+        return np.einsum("i,iab->ab", coeffs, self._stack)
 
     def observable(self, coeffs):
         return Observable(self, np.asarray(coeffs, dtype=float))
@@ -231,8 +234,8 @@ class Observable:
     def traceless_coeffs(self):
         return self.coeffs[1:]
 
-    def is_traceless(self, tol=1e-12):
-        return abs(self.coeffs[0]) <= tol
+    def is_traceless(self):
+        return abs(self.coeffs[0]) <= 1e-12
 
     def __add__(self, other):
         _same_basis(self, other)

@@ -84,18 +84,24 @@ __all__ = [
     "format_product_table",
 ]
 
+# the zero and excitation cuts of asymptotic_limit, and how closely the
+# two models of contract_3level_decoherence must agree
+ZERO_TOL = 1e-8
+PROJ_TOL = 1e-9
+MATCH_TOL = 1e-8
+
 
 # -------------------------------------------------------------- Lie derivative
 
 
-def lie_derivative(Z, T, tol=1e-12):
+def lie_derivative(Z, T):
     """Lie derivative of a tensor field, or of a stack of them, along a
     vector field.
 
     Exact on polynomial coefficients.  For affine ``Z`` the result is again
     of degree <= 2; quadratic ``Z`` is accepted only when all cubic terms
-    cancel within ``tol`` (relative to the coefficient scale), otherwise
-    :class:`DegreeOverflowError` is raised.
+    cancel within :data:`~geomstates.poly.CUBIC_TOL` (relative to the
+    coefficient scale), otherwise :class:`DegreeOverflowError` is raised.
     """
     if Z.m != T.m:
         raise DimensionError("field and tensor live on different spaces")
@@ -130,7 +136,6 @@ def lie_derivative(Z, T, tol=1e-12):
                     - np.einsum("...julp,kuq->...jklpq", t2, z2)
                 ),
                 Z.max_abs() * T.max_abs(),
-                tol,
                 "Lie derivative",
             )
     return PolyTensorField._of(c0, c1, c2, T.symmetry)
@@ -413,17 +418,25 @@ def _kron_sum(X, idx):
     return X[i[:, None], i] * (j[:, None] == j) + (i[:, None] == i) * X[j[:, None], j]
 
 
-def _describe(direction, m, symmetry, top=3):
+def _describe(direction, m, symmetry):
     order = np.argsort(-np.abs(direction))
     parts = []
-    for i in order[:top]:
+    for i in order[:3]:
         if abs(direction[i]) < 1e-6:
             break
         parts.append(f"{direction[i]:+.4g} {slot_label(m, i, symmetry)}")
     return "  ".join(parts) if parts else "0"
 
 
-def asymptotic_limit(fam, zero_tol=1e-8, proj_tol=1e-9):
+def _working_bytes(m):
+    """Bytes of the working arrays of a contraction analysis at ``m``: a
+    dozen ``(m, m, m, m)`` float arrays (the tensor fields and the Lie
+    derivative of a limit) and ten complex ``(m, m, m + 1, m + 1)`` arrays
+    of :func:`asymptotic_limit`."""
+    return 8 * 12 * m**4 + 16 * 10 * (m * (m + 1)) ** 2
+
+
+def asymptotic_limit(fam):
     """Classify the ``t -> infinity`` behaviour of a tensor-flow family.
 
     Verdicts:
@@ -431,7 +444,7 @@ def asymptotic_limit(fam, zero_tol=1e-8, proj_tol=1e-9):
     * ``"limit"`` — every mode of ``L_Z`` excited by the initial tensor
       either decays or lies in a semisimple zero cluster; the limit tensor
       (the zero-cluster spectral projection of the initial tensor) is
-      returned.  Modes with amplitude below ``proj_tol`` relative to the
+      returned.  Modes with amplitude below ``PROJ_TOL`` relative to the
       initial tensor norm count as unexcited.
     * ``"divergent"`` — some excited mode grows exponentially (or a
       defective zero cluster, which grows polynomially and is flagged so,
@@ -453,12 +466,16 @@ def asymptotic_limit(fam, zero_tol=1e-8, proj_tol=1e-9):
     ``nu`` has real part above ``etol``, modulus at most ``etol``, real
     part below ``-etol``, or none of these; each part, and each group of
     entries with one ``nu`` (rounded to 9 digits, conjugates together),
-    maps back to flattened coefficients.  ``etol`` is ``zero_tol`` times
+    maps back to flattened coefficients.  ``etol`` is ``ZERO_TOL`` times
     ``max(1, max |nu|)``, the spectral radius of ``L_Z`` on the sector.
     ``defect`` is ``|L_Z v_zero|`` (:func:`lie_derivative`); a mode whose
     part ``v`` has ``|(L_Z - nu) v| > 1e-6 |v|`` is flagged as growing
     polynomially.  ``eigenvalues`` are the sums of the eigenvalues of ``A``
     over the sector's pairs, in the order of the flattened slots.
+
+    Raises :class:`InvariantViolationError` once the excited modes are
+    counted, before any is built, when the working arrays and the modes'
+    flat directions would not fit in memory.
     """
     A, b = fam._affine
     T0, f0 = fam.initial, fam.flat0
@@ -469,7 +486,7 @@ def asymptotic_limit(fam, zero_tol=1e-8, proj_tol=1e-9):
     pj, pk = _pair_index(m, symmetry)
     p, q = np.triu_indices(m + 1)
     eigenvalues = ((mu[p] + mu[q]) - (lam[pj] + lam[pk])[:, None]).ravel()
-    etol = zero_tol * max(1.0, float(np.abs(eigenvalues).max()))
+    etol = ZERO_TOL * max(1.0, float(np.abs(eigenvalues).max()))
     V, Vi, W, Wi, S, Mw, cv, cw = _cluster_bases(A, b, schur, etol)
 
     K = np.empty((m, m, m + 1, m + 1))
@@ -499,21 +516,40 @@ def asymptotic_limit(fam, zero_tol=1e-8, proj_tol=1e-9):
     limit = unflatten_field(v_zero, m, symmetry)
     defect = float(np.linalg.norm(flatten_field(lie_derivative(fam.field, limit))))
 
-    cut = proj_tol * max(1.0, float(np.linalg.norm(f0)))
+    cut = PROJ_TOL * max(1.0, float(np.linalg.norm(f0)))
     # |VV| <= |V|^2 and |WW| <= 2 |Wi|^2 (Frobenius norms) bound the flat
     # norm of a group by its norm in C: a group below cut / bound is not
     # excited
     bound = 2.0 * (np.linalg.norm(V) * np.linalg.norm(Wi)) ** 2
     keys = np.round(nu.real, 9) + 1j * np.round(np.abs(nu.imag), 9)
 
-    def modes_of(mask, oscillatory=False):
-        """Excited modes of one part: its entries grouped by ``keys``."""
-        if not mask.any():
-            return []
+    def excited(mask):
+        """Keys of the groups of one part that may reach ``cut``."""
         vals, which = np.unique(keys[mask], return_inverse=True)
         weight = np.sqrt(np.bincount(which, np.abs(C[mask]) ** 2, vals.size))
+        return vals[weight * bound > cut]
+
+    grow_keys, osc_keys = excited(grow), excited(osc)
+    zero_defective = amplitudes["zero"] > cut and defect > 1e-6 * amplitudes["zero"]
+    # each mode keeps one flat direction; one group at a time also needs the
+    # columns of VV and WW it selects, their products with X and with its
+    # residual R, the two Kronecker sums, and two complex flat vectors
+    count = grow_keys.size + osc_keys.size + zero_defective
+    _check_memory(
+        _working_bytes(m) + 8 * f0.size * count
+        + 16 * (2 * f0.size + (2 * pj.size + p.size) * (m + 1) ** 2 + 3 * (m + 1) ** 4),
+        f"the contraction analysis at m={m} with {count} excited modes",
+    )
+
+    def mode(eigenvalue, growth_rate, amplitude, dirvec, **flags):
+        direction = dirvec / np.linalg.norm(dirvec)
+        return DivergentMode(eigenvalue, growth_rate, amplitude, direction,
+                             _describe(direction, m, symmetry), **flags)
+
+    def modes_of(mask, group_keys, oscillatory=False):
+        """Excited modes of one part: its entries grouped by ``keys``."""
         modes = []
-        for key in vals[weight * bound > cut]:
+        for key in group_keys:
             sel = mask & (keys == key)
             rows, cols = np.flatnonzero(sel.any(axis=1)), np.flatnonzero(sel.any(axis=0))
             block = np.ix_(rows, cols)
@@ -526,40 +562,19 @@ def asymptotic_limit(fam, zero_tol=1e-8, proj_tol=1e-9):
             R = X @ _kron_sum(Mw, cols) - _kron_sum(S, rows) @ X - nu[block] * X
             defective = np.linalg.norm(VV[:, rows] @ R @ WW[:, cols].T) > 1e-6 * amp
             dirvec = full.real if np.linalg.norm(full.real) > 0 else full.imag
-            direction = dirvec / np.linalg.norm(dirvec)
-            modes.append(
-                DivergentMode(
-                    eigenvalue=complex(key),
-                    growth_rate=float(max(-key.real, 0.0)),
-                    amplitude=amp,
-                    direction=direction,
-                    component=_describe(direction, m, symmetry),
-                    polynomial_growth=bool(defective),
-                    oscillatory=oscillatory,
-                )
-            )
+            modes.append(mode(complex(key), float(max(-key.real, 0.0)), amp, dirvec,
+                              polynomial_growth=bool(defective), oscillatory=oscillatory))
         modes.sort(key=lambda md: -md.amplitude)
         return modes
 
-    grow_modes = modes_of(grow)
-    osc_modes = modes_of(osc, oscillatory=True)
-    zero_defective = amplitudes["zero"] > cut and defect > 1e-6 * amplitudes["zero"]
+    grow_modes = modes_of(grow, grow_keys)
+    osc_modes = modes_of(osc, osc_keys, oscillatory=True)
 
     limit_flat = None
     if grow_modes or zero_defective:
         verdict, modes, limit = "divergent", grow_modes, None
         if zero_defective:
-            direction = v_zero / amplitudes["zero"]
-            modes.append(
-                DivergentMode(
-                    eigenvalue=0j,
-                    growth_rate=0.0,
-                    amplitude=amplitudes["zero"],
-                    direction=direction,
-                    component=_describe(direction, m, symmetry),
-                    polynomial_growth=True,
-                )
-            )
+            modes.append(mode(0j, 0.0, amplitudes["zero"], v_zero, polynomial_growth=True))
     elif osc_modes:
         verdict, modes, limit = "oscillatory", osc_modes, None
     else:
@@ -607,16 +622,16 @@ def _coordinate_products(m):
     return PolyTensorField._of(np.zeros((m, m)), np.zeros((m, m, m)), c2, "symmetric")
 
 
-def _is_affine(*fields, tol):
-    return max(T.max_abs_quadratic() for T in fields) <= tol
+def _is_affine(*fields):
+    return max(T.max_abs_quadratic() for T in fields) <= 1e-9
 
 
-def extract_contracted_products(lam_limit, r_limit, quad_tol=1e-9):
+def extract_contracted_products(lam_limit, r_limit):
     m = lam_limit.m
     if r_limit.m != m:
         raise DimensionError("limit tensors live on different spaces")
     jordan = r_limit + _coordinate_products(m)
-    linear = _is_affine(lam_limit, jordan, tol=quad_tol)
+    linear = _is_affine(lam_limit, jordan)
     c_full, d_full = _unit_extended(lam_limit, jordan) if linear else (None, None)
     return ContractedTables(
         m=m, poisson=lam_limit, jordan=jordan, linear=linear, c_full=c_full, d_full=d_full
@@ -682,7 +697,7 @@ class LimitSetAlgebra:
     d_red: np.ndarray | None
 
 
-def limit_set_algebra(Z, basis, verdict, closure_tol=1e-9):
+def limit_set_algebra(Z, basis, verdict):
     """Restrict the Poisson and symmetric brackets to the flow's limit set.
 
     The limit set is the stationary affine set of the (affine) field
@@ -724,7 +739,7 @@ def limit_set_algebra(Z, basis, verdict, closure_tol=1e-9):
 
     poisson = restrict(poisson_field(basis))
     jordan = restrict(symmetric_field(basis) + _coordinate_products(m))
-    closed = _is_affine(poisson, jordan, tol=closure_tol)
+    closed = _is_affine(poisson, jordan)
     c_red, d_red = _unit_extended(poisson, jordan) if closed else (None, None)
     return LimitSetAlgebra(
         point=x0,
@@ -738,14 +753,14 @@ def limit_set_algebra(Z, basis, verdict, closure_tol=1e-9):
     )
 
 
-def matches_level_algebra(lsa, n, tol=1e-9):
+def matches_level_algebra(lsa, n):
     """Whether reduced structure constants equal those of an n-level system."""
     ref = build_basis(n)
     if lsa.c_red is None or lsa.c_red.shape != ref.lie_constants.shape:
         return False
     return bool(
-        np.abs(lsa.c_red - ref.lie_constants).max() <= tol
-        and np.abs(lsa.d_red - ref.jordan_constants).max() <= tol
+        np.abs(lsa.c_red - ref.lie_constants).max() <= 1e-9
+        and np.abs(lsa.d_red - ref.jordan_constants).max() <= 1e-9
     )
 
 
@@ -774,7 +789,7 @@ class ContractionReport:
         return out
 
 
-def analyze_contraction(Z, basis, zero_tol=1e-8, proj_tol=1e-9):
+def analyze_contraction(Z, basis):
     """Propagate both canonical tensor fields along a flow and classify.
 
     Returns a :class:`ContractionReport` carrying per-sector verdicts, the
@@ -783,19 +798,15 @@ def analyze_contraction(Z, basis, zero_tol=1e-8, proj_tol=1e-9):
     part), or — for divergent flows — the divergent modes together with
     the limit-set restriction of the static products.  Raises
     :class:`InvariantViolationError` before allocating when the working
-    arrays would not fit in memory: a dozen ``(m, m, m, m)`` float arrays
-    (the tensor fields and the Lie derivative of a limit) and ten complex
-    ``(m, m, m + 1, m + 1)`` arrays of :func:`asymptotic_limit`.
+    arrays would not fit in memory (:func:`asymptotic_limit` checks again
+    once it knows how many modes it keeps).
     """
     m = basis.m
-    _check_memory(
-        8 * 12 * m**4 + 16 * 10 * (m * (m + 1)) ** 2,
-        f"the contraction analysis at m={m}",
-    )
+    _check_memory(_working_bytes(m), f"the contraction analysis at m={m}")
     famL = flow_family(Z, poisson_field(basis))
     famR = flow_family(Z, symmetric_field(basis))
-    anaL = asymptotic_limit(famL, zero_tol, proj_tol)
-    anaR = asymptotic_limit(famR, zero_tol, proj_tol)
+    anaL = asymptotic_limit(famL)
+    anaR = asymptotic_limit(famR)
     st = stationary_points(Z, basis)
     if anaL.verdict == "divergent" or anaR.verdict == "divergent":
         verdict = "divergent"
@@ -829,13 +840,13 @@ def analyze_contraction(Z, basis, zero_tol=1e-8, proj_tol=1e-9):
     return report
 
 
-def contract_3level_decoherence(zero_tol=1e-8, proj_tol=1e-9, match_tol=1e-8):
+def contract_3level_decoherence():
     """Run the two three-level decoherence models and compare contractions.
 
     Both the uniform off-diagonal damping model (d = 3, rate 1) and the
     random-phase model (d = 3, rates (1, 1)) contract the tensor fields;
     this driver asserts that their contracted product tables coincide
-    entry-wise within ``match_tol`` and returns the pair of reports.
+    entry-wise within ``MATCH_TOL`` and returns the pair of reports.
     Raises :class:`ContractionMismatchError` otherwise.
     """
     from .dynamics import model_massive_decoherence, model_pure_decoherence
@@ -843,8 +854,8 @@ def contract_3level_decoherence(zero_tol=1e-8, proj_tol=1e-9, match_tol=1e-8):
     basis = build_basis(3)
     zm = model_massive_decoherence(3, 1.0)
     zp = model_pure_decoherence(3, (1.0, 1.0))
-    rm = analyze_contraction(zm, basis, zero_tol, proj_tol)
-    rp = analyze_contraction(zp, basis, zero_tol, proj_tol)
+    rm = analyze_contraction(zm, basis)
+    rp = analyze_contraction(zp, basis)
     if rm.verdict != "limit" or rp.verdict != "limit":
         raise ContractionMismatchError(
             f"expected both models to converge, got {rm.verdict} / {rp.verdict}"
@@ -853,15 +864,15 @@ def contract_3level_decoherence(zero_tol=1e-8, proj_tol=1e-9, match_tol=1e-8):
         (rm.tables.poisson - rp.tables.poisson).max_abs(),
         (rm.tables.jordan - rp.tables.jordan).max_abs(),
     )
-    if worst > match_tol:
+    if worst > MATCH_TOL:
         raise ContractionMismatchError(
             f"contracted tables of the two models differ by {worst:.3e} "
-            f"(allowed {match_tol:.1e})"
+            f"(allowed {MATCH_TOL:.1e})"
         )
     return rm, rp
 
 
-def format_product_table(tables, names=None, tol=1e-9):
+def format_product_table(tables, names=None):
     """Readable non-zero entries of contracted product tables."""
     m = tables.m
     if names is None:
@@ -870,11 +881,11 @@ def format_product_table(tables, names=None, tol=1e-9):
     for j in range(m):
         for k in range(j + 1, m):
             p = tables.poisson.component(j, k)
-            if not p.is_zero(tol):
-                lines.append(f"{{{names[j]},{names[k]}}} = {p.pretty(names, tol)}")
+            if not p.is_zero(1e-9):
+                lines.append(f"{{{names[j]},{names[k]}}} = {p.pretty(names, 1e-9)}")
     for j in range(m):
         for k in range(j, m):
             p = tables.jordan.component(j, k)
-            if not p.is_zero(tol):
-                lines.append(f"({names[j]},{names[k]}) = {p.pretty(names, tol)}")
+            if not p.is_zero(1e-9):
+                lines.append(f"({names[j]},{names[k]}) = {p.pretty(names, 1e-9)}")
     return lines

@@ -29,7 +29,7 @@ import scipy.integrate
 import scipy.optimize
 from scipy.stats import qmc
 
-from .algebra import Observable, build_basis
+from .algebra import build_basis
 from .errors import (
     BasisMismatchError,
     DimensionError,
@@ -71,11 +71,14 @@ __all__ = [
     "model_kaufman_morrison",
 ]
 
+SNAP_TOL = 1e-12
+POSITIVITY_SLACK = 1e-6
+
 
 # --------------------------------------------------------- linear map fields
 
 
-def linear_map_matrix(T, basis, tol=1e-11):
+def linear_map_matrix(T, basis):
     """Expansion ``s[mu, nu]``: coefficients of ``T(sigma_nu)``.
 
     ``T`` is a callable taking and returning (n, n) complex arrays.  The
@@ -83,16 +86,12 @@ def linear_map_matrix(T, basis, tol=1e-11):
     :class:`InvariantViolationError` is raised.
     """
     n = basis.n
-    s = np.empty((basis.dim, basis.dim), dtype=complex)
-    for nu in range(basis.dim):
-        out = np.asarray(T(basis.elements[nu]), dtype=complex)
-        if out.shape != (n, n):
-            raise DimensionError("linear map must return matrices of the same size")
-        s[0, nu] = out.trace() / n
-        for mu in range(1, basis.dim):
-            s[mu, nu] = 0.5 * np.einsum("ab,ba->", out, basis.elements[mu])
+    outs = [np.asarray(T(el), dtype=complex) for el in basis.elements]
+    if any(out.shape != (n, n) for out in outs):
+        raise DimensionError("linear map must return matrices of the same size")
+    s = basis.expand(np.stack(outs)).T
     scale = max(1.0, float(np.abs(s).max()))
-    if float(np.abs(s.imag).max()) > tol * scale:
+    if float(np.abs(s.imag).max()) > 1e-11 * scale:
         raise InvariantViolationError(
             "linear map does not preserve Hermiticity "
             f"(imaginary expansion residue {np.abs(s.imag).max():.3e})"
@@ -100,14 +99,14 @@ def linear_map_matrix(T, basis, tol=1e-11):
     return np.ascontiguousarray(s.real)
 
 
-def vf_from_linear_map(T, basis, snap_tol=1e-12):
+def vf_from_linear_map(T, basis):
     """Vector field of the trace-normalized flow of a linear matrix map.
 
     ``T`` may be a callable on matrices or a precomputed expansion matrix
-    from :func:`linear_map_matrix`.  Coefficients smaller than
-    ``snap_tol`` times the expansion scale are zeroed exactly, so maps that
-    are trace-preserving up to roundoff yield exactly affine fields (pass
-    ``snap_tol=0`` to disable).  The identity map yields the zero field.
+    from :func:`linear_map_matrix`.  Coefficients at most ``SNAP_TOL``
+    times the expansion scale are zeroed exactly, so maps that are
+    trace-preserving up to roundoff yield exactly affine fields.  The
+    identity map yields the zero field.
     """
     s = T if isinstance(T, np.ndarray) else linear_map_matrix(T, basis)
     if s.shape != (basis.dim, basis.dim):
@@ -116,19 +115,16 @@ def vf_from_linear_map(T, basis, snap_tol=1e-12):
         )
     n = basis.n
     scale = max(1.0, float(np.abs(s).max()))
-    cut = snap_tol * scale
     idx = np.arange(basis.m)
     c1 = s[1:, 1:].copy()
     c1[idx, idx] -= s[0, 0]
     Z = PolyVectorField.from_arrays(
         (2.0 / n) * s[1:, 0], c1, _rank_one_c2(0.25 * n * s[0, 1:])
     )
-    if snap_tol > 0.0:
-        Z = Z.snap(cut)
-    return Z
+    return Z.snap(SNAP_TOL * scale)
 
 
-def kraus_vf(V_list, basis, snap_tol=1e-12):
+def kraus_vf(V_list, basis):
     """Field of the (not trace-preserving) jump map ``rho -> sum V rho V^+``."""
     V_list = [np.asarray(V, dtype=complex) for V in V_list]
     if not V_list:
@@ -140,7 +136,7 @@ def kraus_vf(V_list, basis, snap_tol=1e-12):
     def jump(rho):
         return sum(V @ rho @ V.conj().T for V in V_list)
 
-    return vf_from_linear_map(jump, basis, snap_tol=snap_tol)
+    return vf_from_linear_map(jump, basis)
 
 
 @dataclass
@@ -198,9 +194,9 @@ class LindbladModel:
         return out
 
 
-def lindblad_vf(model, snap_tol=1e-12):
+def lindblad_vf(model):
     """Affine vector field of a Markovian master equation."""
-    Z = vf_from_linear_map(model.action, model.basis, snap_tol=snap_tol)
+    Z = vf_from_linear_map(model.action, model.basis)
     if not Z.is_affine:
         raise InvariantViolationError(
             "master-equation field failed to be affine; "
@@ -209,7 +205,7 @@ def lindblad_vf(model, snap_tol=1e-12):
     return Z
 
 
-def lindblad_parts(model, snap_tol=1e-12):
+def lindblad_parts(model):
     """Exact decomposition ``Z_L = X_H - Y_Vbar + Z_K`` as a dict.
 
     Keys: ``hamiltonian`` (may be zero), ``gradient`` (the field to be
@@ -225,7 +221,7 @@ def lindblad_parts(model, snap_tol=1e-12):
     if model.V:
         vbar_obs = basis.from_matrix(model.vbar())
         grad = gradient_vf(basis, vbar_obs)
-        kra = kraus_vf(model.V, basis, snap_tol=snap_tol)
+        kra = kraus_vf(model.V, basis)
     else:
         grad = PolyVectorField.zero(basis.m)
         kra = PolyVectorField.zero(basis.m)
@@ -345,30 +341,20 @@ def pure_decoherence_kraus(d=3, gammas=None):
         gammas = np.ones(d - 1)
     gammas = np.asarray(gammas, dtype=float)
     basis = build_basis(d)
-    Vs = []
-    for gk, U in zip(gammas, _phase_unitaries(d)):
-        if abs(U.trace()) > 1e-10:
-            raise InvariantViolationError(
-                "phase unitary is not traceless; no jump normal form here"
-            )
-        Vs.append(np.sqrt(gk / d) * U)
+    Vs = [np.sqrt(gk / d) * U for gk, U in zip(gammas, _phase_unitaries(d))]
     return LindbladModel(basis, H=None, V=Vs)
 
 
-def model_gisin(basis_or_n, H):
+def model_gisin(basis, H):
     """Quadratic purity-preserving field of a non-linear double-bracket
     type equation: ``Z^k(x) = (1/2) sum_{j,l} x_j x_l w^k_{jl}`` with
-    ``w^k_{jl}`` the expansion of ``[[sigma_j, [[sigma_l, H]] ]]``."""
-    basis = build_basis(basis_or_n) if isinstance(basis_or_n, int) else basis_or_n
-    if isinstance(H, Observable):
-        if H.basis != basis:
-            raise BasisMismatchError("H built over a different basis")
-        hc = H.coeffs
-    else:
-        hc = basis.coeffs_of(H)
+    ``w^k_{jl}`` the expansion of ``[[sigma_j, [[sigma_l, H]] ]]``, for an
+    :class:`Observable` ``H``."""
+    if H.basis != basis:
+        raise BasisMismatchError("H built over a different basis")
     c = basis.lie_constants
     # W[k, j, l] = sum_{p,q} H^p c[l, p, q] c[j, q, k]
-    W = np.einsum("p,lpq,jqk->kjl", hc, c, c)
+    W = np.einsum("p,lpq,jqk->kjl", H.coeffs, c, c)
     m = basis.m
     blk = W[1:, 1:, 1:]
     return PolyVectorField.from_arrays(
@@ -376,19 +362,16 @@ def model_gisin(basis_or_n, H):
     )
 
 
-def model_double_bracket(basis_or_n, H):
-    """Linear double-bracket field: flow of ``G -> [[H, [[H, G]] ]]``.
+def model_double_bracket(basis, H):
+    """Linear double-bracket field: flow of ``G -> [[H, [[H, G]] ]]`` for
+    an :class:`Observable` ``H``.
 
     Coincides with the jump model ``V = H / sqrt(2)``, hence is a genuine
     Markovian dissipator; states relax toward matrices commuting with H.
     """
-    basis = build_basis(basis_or_n) if isinstance(basis_or_n, int) else basis_or_n
-    if isinstance(H, Observable):
-        if H.basis != basis:
-            raise BasisMismatchError("H built over a different basis")
-        Hm = H.matrix()
-    else:
-        Hm = np.asarray(H, dtype=complex)
+    if H.basis != basis:
+        raise BasisMismatchError("H built over a different basis")
+    Hm = H.matrix()
 
     def action(G):
         inner = -0.5j * (Hm @ G - G @ Hm)
@@ -397,22 +380,11 @@ def model_double_bracket(basis_or_n, H):
     return vf_from_linear_map(action, basis)
 
 
-def model_kaufman_morrison(basis_or_n, H, S):
+def model_kaufman_morrison(basis, H, S):
     """Metriplectic field ``X_H + Y_S``: Hamiltonian part plus a gradient
-    part generated by the entropy-like observable ``S``."""
-    basis = build_basis(basis_or_n) if isinstance(basis_or_n, int) else basis_or_n
-
-    def as_obs(a):
-        if isinstance(a, Observable):
-            if a.basis != basis:
-                raise BasisMismatchError("observable built over a different basis")
-            return a
-        a = np.asarray(a)
-        if a.ndim == 2:
-            return basis.from_matrix(a)
-        return basis.observable(a)
-
-    return hamiltonian_vf(basis, as_obs(H)) + gradient_vf(basis, as_obs(S))
+    part generated by the entropy-like observable ``S`` (both
+    :class:`Observable`)."""
+    return hamiltonian_vf(basis, H) + gradient_vf(basis, S)
 
 
 # ---------------------------------------------------------------- flow maps
@@ -449,10 +421,11 @@ class Trajectory:
         return 1.0 / self.basis.n + 0.5 * np.einsum("ij,ij->i", self.xs, self.xs)
 
 
-def _check_on_body(basis, xs, slack, times):
-    """Raise at the first row of ``xs`` that is not a state up to ``slack``."""
+def _check_on_body(basis, xs, times):
+    """Raise at the first row of ``xs`` that is not a state up to
+    ``POSITIVITY_SLACK``."""
     low = _min_eigenvalues(basis, xs)
-    bad = np.flatnonzero(low < -slack)
+    bad = np.flatnonzero(low < -POSITIVITY_SLACK)
     if bad.size:
         i = bad[0]
         raise IntegrationDivergedError(
@@ -462,12 +435,12 @@ def _check_on_body(basis, xs, slack, times):
         )
 
 
-def integrate(Z, state0, t_end, dt=None, method="auto", positivity_slack=1e-6):
+def integrate(Z, state0, t_end, dt=None, method="auto"):
     """Integrate ``xdot = Z(x)`` from a state, sampling every ``dt``.
 
     Affine fields use the exact (matrix-exponential) flow map; quadratic
     fields use an adaptive Runge-Kutta scheme at tight tolerance.  Sampled
-    points are verified to stay density states up to ``positivity_slack``;
+    points are verified to stay density states up to ``POSITIVITY_SLACK``;
     violation raises :class:`IntegrationDivergedError` with the first bad
     time.  The start is tested before integrating, and all other samples
     in one batch once they are computed.  Raises
@@ -495,7 +468,7 @@ def integrate(Z, state0, t_end, dt=None, method="auto", positivity_slack=1e-6):
     )
     times = np.linspace(0.0, t_end, steps + 1)
 
-    _check_on_body(basis, state0.x[None], positivity_slack, times)
+    _check_on_body(basis, state0.x[None], times)
     if Z.is_affine and method in ("auto", "exact"):
         A, b = Z.linear_parts()
         E, f = affine_flow_map(A, b, times[1] - times[0] if steps else 0.0)
@@ -503,7 +476,7 @@ def integrate(Z, state0, t_end, dt=None, method="auto", positivity_slack=1e-6):
         xs[0] = state0.x
         for i in range(1, steps + 1):
             xs[i] = E @ xs[i - 1] + f
-        _check_on_body(basis, xs[1:], positivity_slack, times[1:])
+        _check_on_body(basis, xs[1:], times[1:])
         return Trajectory(basis, times, xs, method="exact-affine")
     if method == "exact":
         raise InvariantViolationError("exact flow maps require an affine field")
@@ -520,7 +493,7 @@ def integrate(Z, state0, t_end, dt=None, method="auto", positivity_slack=1e-6):
     if not sol.success:
         raise IntegrationDivergedError(f"integration failed: {sol.message}")
     xs = np.ascontiguousarray(sol.y.T)
-    _check_on_body(basis, xs, positivity_slack, times)
+    _check_on_body(basis, xs, times)
     return Trajectory(basis, times, xs, method="rk45")
 
 
@@ -545,11 +518,11 @@ class StationaryResult:
     in_body: list | None = None
 
 
-def _is_on_body(basis, x, tol=1e-8):
-    return bool(_min_eigenvalues(basis, x[None])[0] >= -tol)
+def _is_on_body(basis, x):
+    return bool(_min_eigenvalues(basis, x[None])[0] >= -1e-8)
 
 
-def stationary_points(Z, basis, n_starts=64, seed=7):
+def stationary_points(Z, basis):
     """Stationary states of a vector field over the given basis."""
     m = Z.m
     if basis.m != m:
@@ -580,8 +553,8 @@ def stationary_points(Z, basis, n_starts=64, seed=7):
         e[j] = 0.6 * radius
         starts.append(e.copy())
         starts.append(-e)
-    sampler = qmc.Halton(d=m, seed=seed)
-    extra = sampler.random(max(0, n_starts - len(starts)))
+    sampler = qmc.Halton(d=m, seed=7)
+    extra = sampler.random(max(0, 64 - len(starts)))
     for u in extra:
         v = 2.0 * u - 1.0
         nv = np.linalg.norm(v)

@@ -47,6 +47,10 @@ __all__ = [
     "PolyTensorField",
 ]
 
+CUBIC_TOL = 1e-12
+# coefficients at most this large print as zero
+PRETTY_TOL = 1e-12
+
 
 def _sym2(a):
     """Symmetrization over the last two axes."""
@@ -62,12 +66,12 @@ def _sym3(t):
     ) / 6.0
 
 
-def _check_cubic(c3, scale, tol, what):
+def _check_cubic(c3, scale, what):
     """Raise :class:`DegreeOverflowError` unless the cubic coefficients
     ``c3``, symmetrized over their last three axes, stay within
-    ``tol * max(1, scale)``."""
+    ``CUBIC_TOL * max(1, scale)``."""
     over = float(np.abs(_sym3(c3)).max(initial=0.0))
-    if over > tol * max(1.0, scale):
+    if over > CUBIC_TOL * max(1.0, scale):
         raise DegreeOverflowError(
             f"{what} has non-cancelling cubic terms of size {over:.3e}"
         )
@@ -260,12 +264,12 @@ class Poly(_Stack):
             raise DimensionError(f"point must have shape ({self.m},), got {x.shape}")
         return self.c0 + self.c1 @ x + x @ self.c2 @ x
 
-    def degree(self, tol=0.0):
-        if self.max_abs_quadratic() > tol:
+    def degree(self):
+        if self.max_abs_quadratic() > 0.0:
             return 2
-        if np.abs(self.c1).max(initial=0.0) > tol:
+        if np.abs(self.c1).max(initial=0.0) > 0.0:
             return 1
-        if abs(self.c0) > tol:
+        if abs(self.c0) > 0.0:
             return 0
         return -1  # the zero polynomial
 
@@ -299,10 +303,10 @@ class Poly(_Stack):
         return Poly(self.m, c0=self.c1[k], c1=2.0 * self.c2[k])
 
     # --------------------------------------------------------------- product
-    def multiply(self, other, tol=1e-12):
-        """Product, required to stay at degree <= 2 within ``tol``: the cubic
-        coefficients and the quartic bound ``max|c2| * max|c2'|`` must stay
-        below ``tol`` times the coefficient scale, else
+    def multiply(self, other):
+        """Product, required to stay at degree <= 2: the cubic coefficients
+        and the quartic bound ``max|c2| * max|c2'|`` must stay below
+        ``CUBIC_TOL`` times the coefficient scale, else
         :class:`DegreeOverflowError` is raised."""
         self._check(other)
         c3 = _sym3(
@@ -314,10 +318,10 @@ class Poly(_Stack):
             float(np.abs(c3).max(initial=0.0)),
             self.max_abs_quadratic() * other.max_abs_quadratic(),
         )
-        if over > tol * scale:
+        if over > CUBIC_TOL * scale:
             raise DegreeOverflowError(
                 f"product leaves degree-2 space: overflow {over:.3e} "
-                f"exceeds {tol:.1e} * {scale:.3e}"
+                f"exceeds {CUBIC_TOL:.1e} * {scale:.3e}"
             )
         c2 = (
             self.c0 * other.c2
@@ -349,7 +353,7 @@ class Poly(_Stack):
     def __repr__(self):
         return f"Poly(m={self.m}, degree={self.degree()})"
 
-    def pretty(self, names=None, tol=1e-12, digits=6):
+    def pretty(self, names=None, tol=PRETTY_TOL):
         """Human-readable rendering, e.g. ``0.5*x3 - x1*x2``."""
         if names is None:
             names = [f"x{j + 1}" for j in range(self.m)]
@@ -358,7 +362,7 @@ class Poly(_Stack):
         def coeff_str(v):
             if abs(v - round(v)) < tol and abs(v) < 1e15:
                 return str(int(round(v)))
-            return f"{v:.{digits}g}"
+            return f"{v:.6g}"
 
         if abs(self.c0) > tol:
             terms.append(coeff_str(self.c0))
@@ -455,11 +459,11 @@ class PolyVectorField(_Stack):
             out = out + zk.multiply(f.partial(k))
         return out
 
-    def commutator(self, other, tol=1e-12):
+    def commutator(self, other):
         """Lie bracket ``[Z, W]^k = Z(W^k) - W(Z^k)``.
 
-        Cubic contributions must cancel within ``tol`` (relative to the
-        coefficient scale), else :class:`DegreeOverflowError` is raised;
+        Cubic contributions must cancel within ``CUBIC_TOL`` (relative to
+        the coefficient scale), else :class:`DegreeOverflowError` is raised;
         the derivatives ``dW`` and ``dZ`` are affine, so nothing quartic
         arises.
         """
@@ -482,7 +486,6 @@ class PolyVectorField(_Stack):
                     - np.einsum("jlp,kjq->klpq", other.c2, self.c2)
                 ),
                 self.max_abs() * other.max_abs(),
-                tol,
                 "commutator",
             )
         zw, wz = along(self, other), along(other, self)
@@ -644,7 +647,7 @@ class PolyTensorField(_Stack):
     def __repr__(self):
         return f"PolyTensorField(m={self.m}, symmetry={self.symmetry!r})"
 
-    def pretty(self, names=None, tol=1e-12):
+    def pretty(self, names=None):
         lines = []
         for j in range(self.m):
             krange = (
@@ -656,6 +659,6 @@ class PolyTensorField(_Stack):
             )
             for k in krange:
                 p = self.component(j, k)
-                if not p.is_zero(tol):
-                    lines.append(f"T[{j + 1},{k + 1}] = {p.pretty(names, tol)}")
+                if not p.is_zero(PRETTY_TOL):
+                    lines.append(f"T[{j + 1},{k + 1}] = {p.pretty(names)}")
         return "\n".join(lines) if lines else "T = 0"

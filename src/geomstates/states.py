@@ -34,6 +34,10 @@ __all__ = [
     "state_from_json",
 ]
 
+TRACE_TOL = 1e-10
+PSD_TOL = 1e-8
+RANK_TOL = 1e-8
+
 
 @dataclass
 class StateCoordinates:
@@ -77,12 +81,12 @@ def _check_state_basis(state, other_basis):
         )
 
 
-def state_from_matrix(rho, basis=None, trace_tol=1e-10, psd_tol=1e-8):
+def state_from_matrix(rho, basis=None):
     """Coordinates of a density matrix; validates the state conditions.
 
     Raises :class:`NotAStateError` if ``rho`` is not Hermitian, has trace
-    different from one beyond ``trace_tol``, or has an eigenvalue below
-    ``-psd_tol``.
+    different from one beyond ``TRACE_TOL``, or has an eigenvalue below
+    ``-PSD_TOL``.
     """
     rho = np.asarray(rho, dtype=complex)
     if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
@@ -96,18 +100,15 @@ def state_from_matrix(rho, basis=None, trace_tol=1e-10, psd_tol=1e-8):
         1.0, float(np.abs(rho).max())
     ):
         raise NotAStateError("density matrix must be Hermitian")
-    if abs(rho.trace().real - 1.0) > trace_tol or abs(rho.trace().imag) > trace_tol:
+    if abs(rho.trace().real - 1.0) > TRACE_TOL or abs(rho.trace().imag) > TRACE_TOL:
         raise NotAStateError(f"density matrix must have unit trace, got {rho.trace()}")
     evals = np.linalg.eigvalsh(rho)
-    if evals.min() < -psd_tol:
+    if evals.min() < -PSD_TOL:
         raise NotAStateError(
             f"density matrix must be positive semidefinite; "
             f"smallest eigenvalue {evals.min():.3e}"
         )
-    x = np.empty(basis.m)
-    for j in range(1, basis.dim):
-        x[j - 1] = np.einsum("ab,ba->", rho, basis.elements[j]).real
-    return StateCoordinates(basis, x)
+    return StateCoordinates(basis, 2.0 * basis.expand(rho)[1:].real)
 
 
 def _density_matrices(basis, X):
@@ -158,10 +159,10 @@ def max_bloch_radius(n):
     return float(np.sqrt(2.0 * (n - 1) / n))
 
 
-def stratum(state, tol=1e-8):
-    """Rank stratum of the state (eigenvalues above ``tol`` count)."""
+def stratum(state):
+    """Rank stratum of the state (eigenvalues above ``RANK_TOL`` count)."""
     evals = np.linalg.eigvalsh(state.matrix())
-    return StratumTag(rank=int(np.count_nonzero(evals > tol)))
+    return StratumTag(rank=int(np.count_nonzero(evals > RANK_TOL)))
 
 
 def variance(a, state):
@@ -173,9 +174,6 @@ def variance(a, state):
 
 def covariance(a, b, state):
     """Symmetrized covariance ``<a (.) b> - <a><b>``."""
-    _same = (a.basis, b.basis)
-    if _same[0] != _same[1]:
-        raise BasisMismatchError("observables use different bases")
     return expectation(jordan_product(a, b), state) - expectation(
         a, state
     ) * expectation(b, state)

@@ -155,7 +155,7 @@ def _rank_one_c2(w):
     return c2
 
 
-def complex_structure_at(state, rank_rtol=1e-10):
+def complex_structure_at(state):
     """Point-wise complex structure J intertwining gradient and Hamiltonian
     directions, with its defect.
 
@@ -183,7 +183,7 @@ def complex_structure_at(state, rank_rtol=1e-10):
     A = L.T
     J0 = R @ np.linalg.pinv(A, rcond=1e-12)
     U, s, Vt = np.linalg.svd(J0)
-    r = int(np.count_nonzero(s > rank_rtol * max(s[0], 1e-300)))
+    r = int(np.count_nonzero(s > 1e-10 * max(s[0], 1e-300)))
     J = U[:, :r] @ Vt[:r, :]
     residual = float(np.linalg.norm(J @ J @ J + J))
     return J, residual

@@ -1,5 +1,8 @@
 """Tensor-field transport along flows and asymptotic algebra contraction."""
 
+import json
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -43,6 +46,7 @@ from geomstates import (
     unflatten_field,
     verify_contracted_axioms,
 )
+from geomstates.cli import main
 from geomstates.contraction import coeff_size
 from conftest import dense_superoperator, random_hermitian, tracked_product
 
@@ -871,3 +875,60 @@ class TestOneClassifier:
         assert time.perf_counter() - t0 < 1.0
         assert [a.verdict for a in an] == ["divergent", "divergent"]
         assert all(len(a.modes) > 10 for a in an)
+
+    @staticmethod
+    def _record_figures(monkeypatch):
+        """The memory figures the contraction module checks, in call order."""
+        import geomstates.contraction as contraction
+
+        figures = []
+        check = contraction._check_memory
+
+        def record(nbytes, what):
+            figures.append(nbytes)
+            check(nbytes, what)
+
+        monkeypatch.setattr(contraction, "_check_memory", record)
+        return figures
+
+    def test_memory_figures_cover_the_peak(self, monkeypatch):
+        """Each excited mode keeps a flat direction: the seeded n = 4 model
+        keeps 144 of them, more than the working arrays take.  The figures
+        checked before allocating cover the ``tracemalloc`` peak."""
+        figures = self._record_figures(monkeypatch)
+        Z = lindblad_vf(_random_lindblad(4, 11))
+        tracemalloc.start()
+        try:
+            report = analyze_contraction(Z, build_basis(4))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(report.divergent_modes()) > 100
+        assert len(figures) == 3 and max(figures) >= peak
+
+    def test_oversize_mode_set_fails_cleanly(self, monkeypatch, tmp_path, capsys):
+        """With 20 MiB of address space the working arrays of the n = 4
+        analysis fit (13.4 MiB), but not with the 63 modes the first sector
+        keeps: the run exits 1 with the typed error before building any."""
+        resource = pytest.importorskip("resource")
+        model = _random_lindblad(4, 11)
+
+        def entries(M):
+            return [[[z.real, z.imag] for z in row] for row in M]
+
+        scen = tmp_path / "random.json"
+        scen.write_text(json.dumps({
+            "name": "random",
+            "model": {"H": entries(model.H), "V": [entries(V) for V in model.V]},
+            "outputs": ["contraction"],
+        }))
+        figures = self._record_figures(monkeypatch)
+        monkeypatch.setattr(
+            resource, "getrlimit", lambda res: (20 * 2**20, resource.RLIM_INFINITY)
+        )
+        assert main(["run", str(scen), "--out", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: the contraction analysis at m=15 with 63 excited modes")
+        assert "GiB" in err and "Traceback" not in err
+        assert len(figures) == 2 and figures[0] <= 20 * 2**20 < figures[1]
+        assert not list(tmp_path.glob("*_report.json"))

@@ -240,7 +240,7 @@ class TestModelValidation:
         [
             lambda b: lindblad_vf(model_phase_damping(float("nan"))),
             lambda b: model_massive_decoherence(3, float("nan")),
-            lambda b: model_gisin(2, b.observable([0.0, float("nan"), 0.0, 1.0])),
+            lambda b: model_gisin(b, b.observable([0.0, float("nan"), 0.0, 1.0])),
             lambda b: hamiltonian_vf(b, [0.0, np.inf, 0.0, 0.0]),
         ],
         ids=["phase-damping", "massive-decoherence", "gisin", "hamiltonian"],

@@ -14,11 +14,14 @@ from geomstates import (
     expectation,
     expectation_poly,
     field_csv_rows,
+    flow_tensor,
     gradient_vf,
     hamiltonian_vf,
     jordan_bracket,
     jordan_product,
     lie_product,
+    lindblad_vf,
+    model_qubit_dissipation,
     poisson_bracket,
     poisson_field,
     state_from_matrix,
@@ -107,6 +110,27 @@ class TestBrackets:
         # (x1, x1) = 1; (x1, x2) = 0  (coordinates multiply like Paulis)
         assert jordan_bracket(basis2, e[0], e[0]).allclose(Poly(m, 1.0), 1e-14)
         assert jordan_bracket(basis2, e[0], e[1]).allclose(Poly(m), 1e-14)
+
+    def test_brackets_of_transported_fields(self, basis2):
+        """Brackets against the tensors transported along qubit dissipation
+        (rate 1, coordinates damped by ``diag(-1, -1, -2)``) for t = 0.7."""
+        m, t = basis2.m, 0.7
+        e = np.eye(m)
+        Z = lindblad_vf(model_qubit_dissipation(1.0))
+        L = flow_tensor(Z, poisson_field(basis2), t)
+        R = flow_tensor(Z, symmetric_field(basis2), t)
+        x1, x3 = Poly.coordinate(m, 0), Poly.coordinate(m, 2)
+        assert poisson_bracket(basis2, e[0], e[1], field=L).allclose(x3, 1e-14)
+        assert poisson_bracket(basis2, e[1], e[2], field=L).allclose(
+            np.exp(-2 * t) * x1, 1e-14
+        )
+        assert jordan_bracket(basis2, e[0], e[0], field=R).allclose(
+            Poly(m, np.exp(-2 * t)), 1e-14
+        )
+        assert jordan_bracket(basis2, e[2], e[2], field=R).allclose(
+            Poly(m, np.exp(-4 * t)), 1e-14
+        )
+        assert jordan_bracket(basis2, e[0], e[1], field=R).allclose(Poly(m), 1e-14)
 
     def test_three_level_hand_values(self, basis3):
         m = basis3.m
