@@ -64,12 +64,11 @@ from operator import itemgetter
 from pathlib import Path
 
 import numpy as np
-from scipy.stats import qmc
 
 from .algebra import build_basis
 from .errors import GeomstatesError, InvariantViolationError, _check_memory
 from .poly import PolyVectorField
-from .states import _min_eigenvalues, max_bloch_radius
+from .states import _min_eigenvalues, _ScrambledHalton, max_bloch_radius
 from .tensors import (
     _csv_lines,
     field_csv_rows,
@@ -302,15 +301,16 @@ def sample_states(basis, count, seed, anchors=(), slice_coords=None):
             raise InvariantViolationError("slice coordinates out of range")
     R = max_bloch_radius(n)
     need = count - len(pts)
-    # per drawn point: the Halton sample and its transpose, x and its
-    # accepted copy, and for the positivity test a complex density matrix,
-    # one temporary of its size and its eigenvalues; then the grid, twice
+    # per drawn point: the Halton sample, its transpose and four index and
+    # term arrays of the same size, x and its accepted copy, and for the
+    # positivity test a complex density matrix, one temporary of its size
+    # and its eigenvalues; then the grid, twice
     draw = max(128, 2 * need)
     _check_memory(
-        8 * draw * (2 * len(cols) + 2 * m + 4 * n * n + n) + 16 * count * m,
+        8 * draw * (6 * len(cols) + 2 * m + 4 * n * n + n) + 16 * count * m,
         f"a grid of {count} sampled states",
     )
-    sampler = qmc.Halton(d=len(cols), scramble=True, seed=int(seed))
+    sampler = _ScrambledHalton(len(cols), int(seed))
     blocks = [np.reshape(pts, (-1, m))]
     for _ in range(1000):
         if need <= 0:

@@ -43,6 +43,7 @@ stationary limit set by restricting the static products to it.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 import scipy.linalg
@@ -160,12 +161,14 @@ def coeff_size(m):
     return 1 + m + m * (m + 1) // 2
 
 
+@lru_cache(maxsize=None)
 def _pair_index(m, symmetry):
-    pairs = tensor_pairs(m, symmetry)
-    return (
-        np.array([j for j, _ in pairs], dtype=int),
-        np.array([k for _, k in pairs], dtype=int),
-    )
+    """Row and column indices of :func:`tensor_pairs`, built once per size
+    and symmetry as read-only arrays; the symmetric ones are
+    ``np.triu_indices(m)``."""
+    jk = np.array(tensor_pairs(m, symmetry), dtype=int).reshape(-1, 2).T.copy()
+    jk.setflags(write=False)
+    return jk[0], jk[1]
 
 
 def flatten_field(T):
@@ -173,7 +176,7 @@ def flatten_field(T):
     ``c0``, then ``c1``, then the upper triangle of ``c2``, row by row.  A
     stack of fields gives one row per field."""
     pj, pk = _pair_index(T.m, T.symmetry)
-    iu = np.triu_indices(T.m)
+    iu = _pair_index(T.m, "symmetric")
     flat = np.concatenate(
         [
             T.c0[..., pj, pk, None],
@@ -205,7 +208,7 @@ def unflatten_field(vec, m, symmetry):
     c1[..., pj, pk, :] = V[..., 1 : 1 + m]
     # "+ 0.0": a quadratic part rebuilt from its triangle has no negative zeros
     tri = V[..., 1 + m :] + 0.0
-    iu = np.triu_indices(m)
+    iu = _pair_index(m, "symmetric")
     c2[..., pj[:, None], pk[:, None], iu[0], iu[1]] = tri
     c2[..., pj[:, None], pk[:, None], iu[1], iu[0]] = tri
     return PolyTensorField._mirrored(c0, c1, c2, symmetry)
@@ -214,10 +217,9 @@ def unflatten_field(vec, m, symmetry):
 def slot_label(m, flat_index, symmetry, names=None):
     """Readable name of one flattened coefficient slot,
     e.g. ``"T[1,2]:x8"`` for the x8-coefficient of the (1,2) component."""
-    pairs = tensor_pairs(m, symmetry)
-    q = coeff_size(m)
-    pidx, sidx = divmod(int(flat_index), q)
-    j, k = pairs[pidx]
+    pj, pk = _pair_index(m, symmetry)
+    pidx, sidx = divmod(int(flat_index), coeff_size(m))
+    j, k = pj[pidx], pk[pidx]
     if names is None:
         names = [f"x{i + 1}" for i in range(m)]
     if sidx == 0:
@@ -225,7 +227,7 @@ def slot_label(m, flat_index, symmetry, names=None):
     elif sidx <= m:
         coeff = names[sidx - 1]
     else:
-        iu = np.triu_indices(m)
+        iu = _pair_index(m, "symmetric")
         l, p = iu[0][sidx - m - 1], iu[1][sidx - m - 1]
         coeff = f"{names[l]}^2" if l == p else f"{names[l]}*{names[p]}"
     return f"T[{j + 1},{k + 1}]:{coeff}"
@@ -484,7 +486,7 @@ def asymptotic_limit(fam):
     lam = np.diag(schur[0])
     mu = np.concatenate([[0.0], lam])
     pj, pk = _pair_index(m, symmetry)
-    p, q = np.triu_indices(m + 1)
+    p, q = _pair_index(m + 1, "symmetric")
     eigenvalues = ((mu[p] + mu[q]) - (lam[pj] + lam[pk])[:, None]).ravel()
     etol = ZERO_TOL * max(1.0, float(np.abs(eigenvalues).max()))
     V, Vi, W, Wi, S, Mw, cv, cw = _cluster_bases(A, b, schur, etol)

@@ -25,9 +25,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg
-import scipy.integrate
-import scipy.optimize
-from scipy.stats import qmc
 
 from .algebra import build_basis
 from .errors import (
@@ -42,6 +39,7 @@ from .poly import PolyVectorField
 from .states import (
     StateCoordinates,
     _min_eigenvalues,
+    _ScrambledHalton,
     max_bloch_radius,
     state_from_matrix,
 )
@@ -481,6 +479,8 @@ def integrate(Z, state0, t_end, dt=None, method="auto"):
     if method == "exact":
         raise InvariantViolationError("exact flow maps require an affine field")
 
+    import scipy.integrate  # slow to import, and only RK45 runs need it
+
     sol = scipy.integrate.solve_ivp(
         lambda t, x: Z(x),
         (0.0, t_end),
@@ -553,7 +553,7 @@ def stationary_points(Z, basis):
         e[j] = 0.6 * radius
         starts.append(e.copy())
         starts.append(-e)
-    sampler = qmc.Halton(d=m, seed=7)
+    sampler = _ScrambledHalton(m, 7)
     extra = sampler.random(max(0, 64 - len(starts)))
     for u in extra:
         v = 2.0 * u - 1.0
@@ -561,6 +561,8 @@ def stationary_points(Z, basis):
         if nv > 1.0:
             v = v / nv
         starts.append(v * radius * 0.95)
+
+    import scipy.optimize  # slow to import, and only quadratic fields need it
 
     scale = max(1.0, Z.max_abs())
     found = []

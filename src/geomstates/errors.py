@@ -57,10 +57,24 @@ class ContractionMismatchError(GeomstatesError, RuntimeError):
     different product tables."""
 
 
+def _address_space_held():
+    """Bytes of address space this process holds (``/proc/self/statm``),
+    or ``None`` where that file does not exist."""
+    try:
+        fd = os.open("/proc/self/statm", os.O_RDONLY)
+    except OSError:
+        return None
+    try:  # os.read: a file object costs more than the read itself
+        return int(os.read(fd, 64).split()[0]) * os.sysconf("SC_PAGE_SIZE")
+    finally:
+        os.close(fd)
+
+
 def _check_memory(nbytes, what):
     """Raise :class:`InvariantViolationError` before allocating ``nbytes``
-    that exceed physical memory or a finite address-space limit of this
-    process; POSIX only."""
+    that exceed physical memory or what a finite address-space limit of
+    this process leaves free: the limit minus the address space already
+    held, or the whole limit where that is unknown; POSIX only."""
     if os.name != "posix":
         return
     import resource
@@ -68,9 +82,9 @@ def _check_memory(nbytes, what):
     avail = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
     soft, _ = resource.getrlimit(resource.RLIMIT_AS)
     if soft != resource.RLIM_INFINITY:
-        avail = min(avail, soft)
+        avail = min(avail, soft - (_address_space_held() or 0))
     if nbytes > avail:
         raise InvariantViolationError(
             f"{what} needs {nbytes / 2**30:.2f} GiB of working memory; "
-            f"only {avail / 2**30:.2f} GiB are available"
+            f"only {max(avail, 0) / 2**30:.2f} GiB are available"
         )

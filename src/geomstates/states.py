@@ -12,6 +12,7 @@ values are affine in ``x``:  ``<a> = a^0 + sum_j a^j x_j``.  The purity is
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -133,6 +134,61 @@ def _min_eigenvalues(basis, X):
     stack, with the same matrices and eigenvalues as one call per row.
     """
     return np.linalg.eigvalsh(_density_matrices(basis, X)).min(axis=1)
+
+
+class _ScrambledHalton:
+    """Owen-scrambled Halton points in ``[0, 1)^d`` (A. B. Owen, "A
+    randomized Halton algorithm in R", arXiv:1706.02808), bit-equal to
+    ``scipy.stats.qmc.Halton(d=d, scramble=True, seed=seed)``.
+
+    Coordinate ``i`` is a van der Corput sequence in the ``i``-th prime
+    ``b`` whose digit ``j`` goes through its own permutation of
+    ``range(b)``: ``ceil(54 / log2 b) - 1`` of them, drawn from
+    ``default_rng(seed)`` base by base as scipy draws them
+    (``rng.permuted`` makes the draws of one ``rng.shuffle`` per row).
+    Row ``j`` of the table holds each base's permutation times its weight
+    ``b^-(j+1)``, built by repeated division as in scipy, and zeros past
+    that base's last permutation.  A point adds one row after the other in
+    digit order, so it is rounded as in scipy's loop; a zero adds nothing
+    to a sum that is never negative.  Consecutive calls continue the
+    sequence.
+    """
+
+    def __init__(self, d, seed):
+        rng = np.random.default_rng(seed)
+        primes = []
+        k = 2
+        while len(primes) < d:
+            if all(k % p for p in primes):
+                primes.append(k)
+            k += 1
+        self._bases = np.array(primes, dtype=np.int64)
+        self._offsets = np.cumsum([0] + primes[:-1], dtype=np.int64)
+        self._table = np.zeros((53, sum(primes)))  # 53 permutations for b = 2
+        for b, o in zip(primes, self._offsets):
+            count = math.ceil(54 / math.log2(b)) - 1
+            perms = rng.permuted(np.repeat(np.arange(b)[None], count, axis=0), axis=1)
+            weights = np.empty(count)
+            w = 1.0 / b
+            for j in range(count):
+                weights[j] = w
+                w /= b
+            self._table[:count, o : o + b] = perms * weights[:, None]
+        self._start = 0
+
+    def random(self, n):
+        quot = np.arange(self._start, self._start + n)
+        self._start += n
+        # every index is below 2^J, so every digit from row J on is 0
+        J = (self._start - 1).bit_length() if n else 0
+        bases, offsets = self._bases[:, None], self._offsets[:, None]
+        acc = np.zeros((bases.size, n))  # one row per coordinate
+        for row in self._table[:J]:
+            quot, digit = np.divmod(quot, bases)
+            acc += row.take(offsets + digit)
+        for row in self._table[J:, self._offsets, None]:
+            acc += row
+        return np.ascontiguousarray(acc.T)
 
 
 def state_to_matrix(state):

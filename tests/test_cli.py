@@ -726,3 +726,36 @@ class TestEntryPoint:
         )
         for p1 in sorted(d1.iterdir()):
             assert p1.read_bytes() == (d2 / p1.name).read_bytes()
+
+
+class TestImportFootprint:
+    """``import geomstates.cli`` loads only the scipy subpackages that every
+    run uses; RK45 trajectories and root finding import theirs on first use."""
+
+    @staticmethod
+    def _fresh(code):
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                              text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        return proc.stdout.split()
+
+    def test_cli_import_leaves_out_deferred_subpackages(self):
+        loaded = self._fresh(
+            "import sys, geomstates.cli\n"
+            "print(*sorted(k for k in ('scipy.stats', 'scipy.integrate', 'scipy.optimize')"
+            " if k in sys.modules))"
+        )
+        assert loaded == []
+
+    def test_deferred_imports_load_on_first_use(self):
+        out = self._fresh(
+            "import sys\n"
+            "from geomstates import (build_basis, integrate, model_gisin,\n"
+            "    state_from_coords, stationary_points)\n"
+            "b = build_basis(2)\n"
+            "Z = model_gisin(b, b.traceless_observable([0.0, 0.0, 1.0]))\n"
+            "print(integrate(Z, state_from_coords(b, [0.6, 0.0, 0.0]), 1.0, dt=0.5).method)\n"
+            "print(stationary_points(Z, b).kind)\n"
+            "print('scipy.integrate' in sys.modules, 'scipy.optimize' in sys.modules)"
+        )
+        assert out == ["rk45", "points", "True", "True"]

@@ -10,6 +10,7 @@ import scipy.linalg
 from geomstates import (
     ContractionMismatchError,
     DegreeOverflowError,
+    InvariantViolationError,
     LimitExistsError,
     LindbladModel,
     Poly,
@@ -906,11 +907,33 @@ class TestOneClassifier:
         assert len(report.divergent_modes()) > 100
         assert len(figures) == 3 and max(figures) >= peak
 
-    def test_oversize_mode_set_fails_cleanly(self, monkeypatch, tmp_path, capsys):
-        """With 20 MiB of address space the working arrays of the n = 4
-        analysis fit (13.4 MiB), but not with the 63 modes the first sector
-        keeps: the run exits 1 with the typed error before building any."""
+    def test_memory_check_leaves_out_held_address_space(self, monkeypatch):
+        """Under a limit 32 MiB above the address space already held, only
+        those 32 MiB are free: 64 MiB fails, where the whole limit would
+        have let it pass."""
         resource = pytest.importorskip("resource")
+        import geomstates.errors as errors
+
+        held = errors._address_space_held()
+        if held is None:
+            pytest.skip("no /proc/self/statm")
+        monkeypatch.setattr(
+            resource, "getrlimit", lambda res: (held + 32 * 2**20, resource.RLIM_INFINITY)
+        )
+        errors._check_memory(2**20, "one MiB")
+        with pytest.raises(InvariantViolationError, match="only 0.03 GiB"):
+            errors._check_memory(64 * 2**20, "64 MiB")
+
+    def test_oversize_mode_set_fails_cleanly(self, monkeypatch, tmp_path, capsys):
+        """With 20 MiB of address space free the working arrays of the n = 4
+        analysis fit (13.4 MiB), but not with the 63 modes the first sector
+        keeps: the run exits 1 with the typed error before building any.
+        The address space the interpreter holds is taken as 0, so the whole
+        limit is free."""
+        resource = pytest.importorskip("resource")
+        import geomstates.errors as errors
+
+        monkeypatch.setattr(errors, "_address_space_held", lambda: 0)
         model = _random_lindblad(4, 11)
 
         def entries(M):

@@ -18,6 +18,7 @@ from geomstates import (
     stratum,
     variance,
 )
+from geomstates.states import _ScrambledHalton
 from conftest import (
     per_point_density_matrix,
     random_hermitian,
@@ -192,3 +193,34 @@ class TestSlicePositivity:
                 ref = per_point_density_matrix(basis, x)
                 assert mats[i].tobytes() == ref.tobytes()
                 assert low[i].tobytes() == np.linalg.eigvalsh(ref).min().tobytes()
+
+
+class TestScrambledHalton:
+    """The sampler of ``cli.sample_states`` and ``stationary_points``:
+    bit-equal to ``scipy.stats.qmc.Halton(d, scramble=True, seed=seed)``."""
+
+    def test_pinned_values(self):
+        sampler = _ScrambledHalton(3, 7)
+        first = sampler.random(2)
+        assert first.shape == (2, 3) and first.flags.c_contiguous
+        assert first.tolist() == [
+            [0.10224233015287731, 0.9346983862017634, 0.8943413349392959],
+            [0.6022423301528773, 0.2680317195350967, 0.09434133493929588],
+        ]
+        # a second call continues the sequence
+        assert sampler.random(1).tolist() == [
+            [0.3522423301528773, 0.6013650528684301, 0.294341334939296]
+        ]
+        assert _ScrambledHalton(15, 2**31 - 1).random(1)[0, -1] == 0.6816922461150502
+        assert _ScrambledHalton(4, 0).random(0).shape == (0, 4)
+
+    @pytest.mark.parametrize("d", range(1, 16))
+    def test_bit_equal_to_scipy(self, d):
+        qmc = pytest.importorskip("scipy.stats.qmc")
+        for seed in (0, 7, 2**31 - 1):
+            ours = _ScrambledHalton(d, seed)
+            # an integer ``seed`` seeds default_rng; scipy's newer ``rng``
+            # keyword spawns a child generator from it instead
+            ref = qmc.Halton(d=d, scramble=True, seed=seed)
+            for n in (0, 1, 128, 513):
+                assert np.array_equal(ours.random(n), ref.random(n)), (seed, n)
