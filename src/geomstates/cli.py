@@ -57,8 +57,9 @@ import os
 import re
 import sys
 from dataclasses import asdict, dataclass, field as dc_field
+from functools import lru_cache
 from json.encoder import encode_basestring_ascii
-from math import isfinite
+from math import ceil, isfinite
 from numbers import Real
 from operator import itemgetter
 from pathlib import Path
@@ -68,7 +69,7 @@ import numpy as np
 from .algebra import build_basis
 from .errors import GeomstatesError, InvariantViolationError, _check_memory
 from .poly import PolyVectorField
-from .states import _min_eigenvalues, _ScrambledHalton, max_bloch_radius
+from .states import _in_body, _ScrambledHalton, max_bloch_radius
 from .tensors import (
     _csv_lines,
     field_csv_rows,
@@ -99,6 +100,8 @@ from .contraction import (
 )
 
 DEFAULT_SEED = 7
+# largest Halton draw of sample_states once its acceptance rate is known
+_DRAW_CAP = 1 << 15
 OUTPUT_KINDS = ("field-samples", "trajectory", "tensor-family", "contraction", "tables")
 
 # parameter -> (default, number type, holds a list of them, may be null)
@@ -279,8 +282,9 @@ def sample_states(basis, count, seed, anchors=(), slice_coords=None):
     filtered by positivity — over the full coordinate ball for two-level
     systems, over a two-coordinate slice otherwise.  Positivity is tested
     in batches, one call per Halton draw, keeping accepted points in draw
-    order.  Raises :class:`InvariantViolationError` before drawing when the
-    first batch and the grid would not fit in memory.
+    order; draws after the first are sized from the acceptance rate so
+    far.  Raises :class:`InvariantViolationError` before drawing when the
+    largest draw and the grid would not fit in memory.
     """
     m, n = basis.m, basis.n
     if count < 0:
@@ -301,25 +305,36 @@ def sample_states(basis, count, seed, anchors=(), slice_coords=None):
             raise InvariantViolationError("slice coordinates out of range")
     R = max_bloch_radius(n)
     need = count - len(pts)
+    k = len(cols)
+    size = max(128, 2 * need)
+    cap = max(size, _DRAW_CAP)
     # per drawn point: the Halton sample, its transpose and four index and
-    # term arrays of the same size, x and its accepted copy, and for the
-    # positivity test a complex density matrix, one temporary of its size
-    # and its eigenvalues; then the grid, twice
-    draw = max(128, 2 * need)
+    # term arrays of the same size, x and its accepted copy, the sampled
+    # columns' copy, and for the positivity bounds four arrays of the
+    # levels and four of the pairs; for the rows near the cut a complex
+    # density matrix, one temporary of its size and its eigenvalues; then
+    # the grid, twice
     _check_memory(
-        8 * draw * (6 * len(cols) + 2 * m + 4 * n * n + n) + 16 * count * m,
+        8 * cap * (7 * k + 2 * m + 4 * n + 2 * n * (n - 1) + 4 * n * n + n)
+        + 16 * count * m,
         f"a grid of {count} sampled states",
     )
-    sampler = _ScrambledHalton(len(cols), int(seed))
+    sampler = _ScrambledHalton(k, int(seed))
     blocks = [np.reshape(pts, (-1, m))]
-    for _ in range(1000):
-        if need <= 0:
-            break
-        u = sampler.random(max(128, 2 * need))
-        X = np.zeros((len(u), m))
+    budget = 1000 * size
+    drawn = kept = 0
+    while need > 0 and drawn < budget:
+        u = sampler.random(size)
+        X = np.zeros((size, m))
         X[:, cols] = (2.0 * u - 1.0) * R
-        blocks.append(X[_min_eigenvalues(basis, X) >= -1e-12][:need])
+        X = X[_in_body(basis, X, 1e-12, cols)]
+        blocks.append(X[:need])
         need -= len(blocks[-1])
+        drawn += size
+        kept += len(X)
+        # the next draw keeps what is missing at the rate so far, with 20 %
+        # to spare; the kept points are the same for any draw sizes
+        size = min(cap, max(128, ceil(1.2 * need * drawn / kept))) if kept else cap
     if need > 0:
         raise InvariantViolationError("state sampling failed to fill the grid")
     return np.concatenate(blocks)
@@ -521,6 +536,14 @@ def static_tables_json(basis):
     }
 
 
+@lru_cache(maxsize=1)
+def _tables_text(n):
+    """The bytes of the ``_tables.json`` artifact of the n-level algebra.
+    It depends on ``n`` only, so one level's document is held (2.0 MB at
+    n = 4, 12.5 MB at n = 5) and each run of that level reuses it."""
+    return _json_text(static_tables_json(build_basis(n))).encode()
+
+
 # ------------------------------------------------------------------ writers
 
 
@@ -575,6 +598,12 @@ def _checked_params(params):
         if not ok:
             raise InvariantViolationError(
                 f"parameter {key!r} must be {what}, got {value!r}"
+            )
+        # the Halton scrambling seeds numpy's generator, which takes no
+        # negative seed
+        if key == "seed" and value < 0:
+            raise InvariantViolationError(
+                f"parameter 'seed' must be nonnegative, got {value!r}"
             )
     return dict(params)
 
@@ -805,7 +834,7 @@ def run_scenario(target, out_dir="geomstates-out", params=None, report=False):
 
     if "tables" in outputs:
         p = out / f"{base}_tables.json"
-        _write_json(p, static_tables_json(setup.basis))
+        p.write_bytes(_tables_text(setup.basis.n))
         lines.append(f"wrote {p}")
         artifacts["tables"] = p
 
@@ -874,11 +903,14 @@ def _cli_params(args):
     seed_text = os.environ.get("GEOM_SEED")
     if seed_text is not None:
         try:
-            params["seed"] = int(seed_text)
+            seed = int(seed_text)
         except ValueError:
+            seed = None
+        if seed is None or seed < 0:
             raise argparse.ArgumentTypeError(
-                f"GEOM_SEED must be an integer, got {seed_text!r}"
+                f"GEOM_SEED must be a nonnegative integer, got {seed_text!r}"
             )
+        params["seed"] = seed
     return {key: value for key, value in params.items() if value is not None}
 
 

@@ -38,6 +38,7 @@ from .errors import (
 from .poly import PolyVectorField
 from .states import (
     StateCoordinates,
+    _in_body,
     _min_eigenvalues,
     _ScrambledHalton,
     max_bloch_radius,
@@ -421,14 +422,15 @@ class Trajectory:
 
 def _check_on_body(basis, xs, times):
     """Raise at the first row of ``xs`` that is not a state up to
-    ``POSITIVITY_SLACK``."""
-    low = _min_eigenvalues(basis, xs)
-    bad = np.flatnonzero(low < -POSITIVITY_SLACK)
+    ``POSITIVITY_SLACK``, giving the smallest eigenvalue of that row."""
+    bad = np.flatnonzero(~_in_body(basis, xs, POSITIVITY_SLACK))
     if bad.size:
         i = bad[0]
+        row = xs[i : i + 1]
+        low = _min_eigenvalues(basis, row)[0] if np.isfinite(row).all() else np.nan
         raise IntegrationDivergedError(
             f"trajectory left the state body at t={times[i]:.6g} "
-            f"(eigenvalue {low[i]:.3e})",
+            f"(eigenvalue {low:.3e})",
             time=times[i],
         )
 
@@ -458,10 +460,11 @@ def integrate(Z, state0, t_end, dt=None, method="auto"):
     steps = max(1, int(round(t_end / dt))) if t_end > 0 else 0
     n, m = basis.n, basis.m
     # per sample: the time, x and its copy (the RK45 solution), and for the
-    # positivity test a complex density matrix, one temporary of its size
-    # and its eigenvalues
+    # positivity test another copy, four arrays of the levels and four of
+    # the pairs, and (near the cut) a complex density matrix, one temporary
+    # of its size and its eigenvalues
     _check_memory(
-        8 * (steps + 1) * (1 + 2 * m + 4 * n * n + n),
+        8 * (steps + 1) * (1 + 3 * m + 4 * n + 2 * n * (n - 1) + 4 * n * n + n),
         f"a trajectory of {steps + 1} samples",
     )
     times = np.linspace(0.0, t_end, steps + 1)
@@ -519,7 +522,7 @@ class StationaryResult:
 
 
 def _is_on_body(basis, x):
-    return bool(_min_eigenvalues(basis, x[None])[0] >= -1e-8)
+    return bool(_in_body(basis, x[None], 1e-8)[0])
 
 
 def stationary_points(Z, basis):

@@ -14,6 +14,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -38,6 +39,9 @@ __all__ = [
 TRACE_TOL = 1e-10
 PSD_TOL = 1e-8
 RANK_TOL = 1e-8
+# half-width of the band around a positivity cut left to eigvalsh, relative
+# to the matrix scale (see _in_body)
+CUT_MARGIN = 1e-13
 
 
 @dataclass
@@ -134,6 +138,63 @@ def _min_eigenvalues(basis, X):
     stack, with the same matrices and eigenvalues as one call per row.
     """
     return np.linalg.eigvalsh(_density_matrices(basis, X)).min(axis=1)
+
+
+@lru_cache(maxsize=16)
+def _bound_rows(basis, cols):
+    """Rows that give, from the ``cols`` coordinates of a state, the diagonal
+    of ``(1/2) sum_j x_j sigma_j`` and the real and imaginary parts of its
+    entries above the diagonal, pair by pair in ``triu_indices`` order;
+    then the 0/1 matrix that sums the pairs into each level."""
+    n = basis.n
+    i, j = np.triu_indices(n, 1)
+    k = np.arange(n)
+    E = 0.5 * basis._stack[np.asarray(cols) + 1]
+    upper = E[:, i, j].T
+    touches = (k[:, None] == i) | (k[:, None] == j)
+    return E[:, k, k].real.T.copy(), upper.real.copy(), upper.imag.copy(), 1.0 * touches
+
+
+def _in_body(basis, X, slack, cols=None):
+    """Whether the density matrix of each row of an ``(N, m)`` array is a
+    state up to ``slack``: ``_min_eigenvalues(basis, X) >= -slack``, row by
+    row, with the same decision; a row that is not finite is not in the
+    body (``eigvalsh`` returns NaN or fails to converge on it).
+
+    Columns outside ``cols`` (default: all) must be zero.  Two bounds on the
+    smallest eigenvalue decide most rows: Gershgorin's discs bound it from
+    below by ``min_i (rho_ii - sum_{j != i} |rho_ij|)``, and by Cauchy
+    interlacing it is at most the smallest eigenvalue of each 2x2
+    principal block, in closed form (at n = 2 that block is the matrix, so
+    it bounds from both sides).  A row goes to ``eigvalsh`` only when its
+    bounds leave the cut within ``CUT_MARGIN`` times the matrix scale; the
+    rounding of the bounds and of ``eigvalsh`` is of order ``(m + n) eps``
+    of that scale, 6e-15 at n = 5.
+    """
+    X = np.asarray(X, dtype=float)
+    n = basis.n
+    cols = tuple(range(basis.m)) if cols is None else tuple(int(c) for c in cols)
+    diag, re, im, touches = _bound_rows(basis, cols)
+    Xc = X[:, cols].T  # one column per row of X, so each step is a whole vector
+    d = 1.0 / n + diag @ Xc
+    a2 = re @ Xc
+    a2 *= a2
+    a2 += (im @ Xc) ** 2
+    a = np.sqrt(a2)
+    radii = touches @ a
+    i, j = np.triu_indices(n, 1)
+    # 2 lambda_min of [[d_i, z], [conj z, d_j]] is d_i + d_j - sqrt((d_i - d_j)^2 + 4 |z|^2)
+    upper = d[i] + d[j] - np.sqrt((d[i] - d[j]) ** 2 + 4.0 * a2)
+    upper = 0.5 * upper.min(axis=0)
+    lower = upper if n == 2 else (d - radii).min(axis=0)
+    # Gershgorin bounds the spectral radius too; it is finite on the rows
+    # that are
+    margin = CUT_MARGIN * np.maximum(1.0, (np.abs(d) + radii).max(axis=0))
+    inside = lower >= margin - slack
+    near = np.flatnonzero(~inside & ~(upper < -slack - margin) & np.isfinite(margin))
+    if near.size:
+        inside[near] = _min_eigenvalues(basis, X[near]) >= -slack
+    return inside
 
 
 class _ScrambledHalton:

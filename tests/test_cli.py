@@ -352,11 +352,18 @@ def _per_point_samples(basis, count, seed, anchors, cols):
 
 
 class TestSampling:
-    @pytest.mark.parametrize(
-        "n, slice_coords, n_anchors",
-        [(2, None, 0), (3, None, 1), (4, (3, 8), 3)],
-    )
-    def test_matches_per_point_reference(self, n, slice_coords, n_anchors):
+    CASES = [
+        (2, None, 0),
+        (3, None, 1),
+        (4, (3, 8), 3),
+        (4, None, 0),
+        # 5.3 % of the drawn points are states
+        (4, (4, 5, 15), 0),
+        (5, None, 2),
+    ]
+
+    @staticmethod
+    def _check(n, slice_coords, n_anchors, count, seed):
         basis = build_basis(n)
         anchors = [0.1 * k * np.ones(basis.m) for k in range(n_anchors)]
         cols = (
@@ -364,10 +371,68 @@ class TestSampling:
             else [0, 1] if slice_coords is None
             else [c - 1 for c in slice_coords]
         )
-        got = sample_states(basis, 300, 11, anchors=anchors, slice_coords=slice_coords)
-        want = _per_point_samples(basis, 300, 11, anchors, cols)
-        assert got.shape == (300, basis.m)
+        got = sample_states(basis, count, seed, anchors=anchors, slice_coords=slice_coords)
+        want = _per_point_samples(basis, count, seed, anchors, cols)
+        assert got.shape == (count, basis.m)
         assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("n, slice_coords, n_anchors", CASES)
+    def test_matches_per_point_reference(self, n, slice_coords, n_anchors):
+        for count, seed in [(300, 11), (700, 0), (4, 2**31 - 1)]:
+            self._check(n, slice_coords, n_anchors, count, seed)
+
+    @pytest.mark.parametrize("n, slice_coords, n_anchors", CASES)
+    def test_many_capped_draws_keep_the_grid(self, n, slice_coords, n_anchors, monkeypatch):
+        """With a cap of one first draw, the low-acceptance slices need many
+        rate-sized draws; the grid is still the reference one."""
+        import geomstates.cli as cli
+
+        sizes = []
+        sampler = cli._ScrambledHalton
+
+        class Recording(sampler):
+            def random(self, size):
+                sizes.append(size)
+                return super().random(size)
+
+        monkeypatch.setattr(cli, "_DRAW_CAP", 0)
+        monkeypatch.setattr(cli, "_ScrambledHalton", Recording)
+        self._check(n, slice_coords, n_anchors, 300, 5)
+        first = max(128, 2 * (300 - n_anchors))
+        assert sizes[0] == first and all(128 <= s <= first for s in sizes)
+        if slice_coords == (4, 5, 15):
+            assert len(sizes) >= 5
+
+    def test_memory_figure_covers_the_largest_draw(self, monkeypatch):
+        import geomstates.cli as cli
+
+        figures, sizes = [], []
+        monkeypatch.setattr(cli, "_check_memory", lambda nbytes, what: figures.append(nbytes))
+        sampler = cli._ScrambledHalton
+
+        class Recording(sampler):
+            def random(self, size):
+                sizes.append(size)
+                return super().random(size)
+
+        monkeypatch.setattr(cli, "_ScrambledHalton", Recording)
+        basis = build_basis(4)
+        sample_states(basis, 500, 1, slice_coords=(4, 5, 15))
+        assert max(sizes) <= cli._DRAW_CAP
+        # at least the complex density matrices of a draw of the cap
+        assert figures == [figures[0]]
+        assert figures[0] >= 8 * cli._DRAW_CAP * (2 * basis.m + 4 * basis.n**2)
+
+    def test_oversize_grid_fails_before_drawing(self, monkeypatch):
+        import geomstates.cli as cli
+        from geomstates.errors import InvariantViolationError
+
+        def no_sampler(*args):
+            raise AssertionError("drew before the memory check")
+
+        monkeypatch.setattr(cli, "_ScrambledHalton", no_sampler)
+        with pytest.raises(InvariantViolationError, match="a grid of 1000000000000"):
+            sample_states(build_basis(4), 10**12, 1)
 
 
 class TestDeterminism:
@@ -394,6 +459,55 @@ class TestDeterminism:
         monkeypatch.setenv("GEOM_SEED", "not-a-number")
         assert main(["run", "phase-damping", "--out", str(tmp_path)]) == 2
         assert "GEOM_SEED" in capsys.readouterr().err
+
+    def test_negative_seed_is_usage_error(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setenv("GEOM_SEED", "-5")
+        assert main(["run", "phase-damping", "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert "GEOM_SEED must be a nonnegative integer" in err
+        assert not list(tmp_path.iterdir())
+
+    def test_negative_seed_in_file_fails(self, tmp_path, capsys):
+        from geomstates.errors import InvariantViolationError
+
+        scen = tmp_path / "neg-seed.json"
+        scen.write_text(json.dumps(
+            {"model": "phase-damping", "parameters": {"seed": -3, "points": 10}}
+        ))
+        out = tmp_path / "out"
+        assert main(["run", str(scen), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert "'seed' must be nonnegative" in err and "Traceback" not in err
+        assert not out.exists()
+        with pytest.raises(InvariantViolationError, match="nonnegative"):
+            run_scenario("phase-damping", out_dir=str(out), params={"seed": -1})
+
+
+class TestTablesText:
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_equals_fresh_rendering(self, n):
+        from geomstates.cli import _tables_text, static_tables_json
+
+        want = _json_text(static_tables_json(build_basis(n))).encode()
+        assert _tables_text(n) == want
+        assert _tables_text(n) is _tables_text(n)
+
+    def test_reruns_in_one_process_write_the_same_tables(self, tmp_path):
+        from geomstates.cli import static_tables_json
+
+        scen = tmp_path / "quartet.json"
+        scen.write_text(json.dumps({
+            "name": "quartet",
+            "model": "massive-decoherence",
+            "parameters": {"d": 4},
+            "outputs": ["tables"],
+        }))
+        texts = []
+        for d in ("a", "b"):
+            run_scenario(str(scen), out_dir=str(tmp_path / d))
+            texts.append((tmp_path / d / "quartet_tables.json").read_bytes())
+        assert texts[0] == texts[1]
+        assert texts[0] == _json_text(static_tables_json(build_basis(4))).encode()
 
 
 class TestScenarioFiles:

@@ -327,6 +327,20 @@ class TestFlows:
             integrate(Z, state0, 2.0, dt=0.05)
         assert exc.value.time is not None and exc.value.time > 0
 
+    @pytest.mark.parametrize("dt, low", [(0.1, "-7.087e+00"), (20.0, "nan")])
+    def test_overflowing_samples_are_an_escape(self, basis3, dt, low):
+        """Samples that overflow to inf are not states: the escape is the
+        typed error, not numpy's LinAlgError from eigvalsh."""
+        Z = PolyVectorField.from_affine(50.0 * np.eye(8), np.zeros(8))
+        x0 = np.zeros(8)
+        x0[0] = 0.1
+        state0 = state_from_coords(basis3, x0)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(IntegrationDivergedError) as exc:
+                integrate(Z, state0, 20.0, dt=dt)
+        assert exc.value.time == dt
+        assert str(exc.value).endswith(f"(eigenvalue {low})")
+
     @pytest.mark.parametrize("method", ["exact", "rk45"])
     def test_escape_time_matches_per_sample_scan(self, basis3, rng, method):
         # a slow rotation plus uniform growth: states leave the body mid-run

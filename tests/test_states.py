@@ -195,6 +195,95 @@ class TestSlicePositivity:
                 assert low[i].tobytes() == np.linalg.eigvalsh(ref).min().tobytes()
 
 
+class TestBoundedPositivity:
+    """``_in_body`` decides most rows from Gershgorin and 2x2 interlacing
+    bounds; its decisions are those of ``eigvalsh`` at the cut."""
+
+    @staticmethod
+    def _cols(kind, basis, rng):
+        m = basis.m
+        if kind == "default":
+            return list(range(m)) if basis.n == 2 else [0, 1]
+        if kind == "full":
+            return list(range(m))
+        if kind == "single":
+            return [int(rng.integers(m))]
+        return sorted(int(c) for c in rng.choice(m, 3, replace=False))
+
+    @staticmethod
+    def _rows_at_cut(basis, cols, slack, rng, directions=10):
+        """Rows on ``cols`` whose smallest eigenvalue is ``-slack + delta``
+        for 64 ``delta`` in +-3e-13, along random directions of the slice."""
+        n = basis.n
+        rows = []
+        for _ in range(directions):
+            u = np.zeros(basis.m)
+            u[cols] = rng.normal(size=len(cols))
+            # lambda_min(rho(t u)) = 1/n + t mu for t > 0; mu < 0 as the
+            # matrix is traceless
+            mu = np.linalg.eigvalsh(per_point_density_matrix(basis, u) - np.eye(n) / n).min()
+            for delta in np.linspace(-3e-13, 3e-13, 64):
+                rows.append(u * ((delta - slack - 1.0 / n) / mu))
+        return np.array(rows)
+
+    @pytest.mark.parametrize("slack", [1e-12, 1e-8, 1e-6])
+    @pytest.mark.parametrize("kind", ["default", "full", "single", "random"])
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_decisions_at_cut(self, n, kind, slack, rng):
+        from geomstates.states import _in_body, _min_eigenvalues
+
+        basis = build_basis(n)
+        cols = self._cols(kind, basis, rng)
+        X = self._rows_at_cut(basis, cols, slack, rng)
+        want = _min_eigenvalues(basis, X) >= -slack
+        assert 0 < want.sum() < len(X)  # the sweep straddles the cut
+        assert (_in_body(basis, X, slack, cols) == want).all()
+        assert (_in_body(basis, X, slack) == want).all()
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_decisions_on_halton_slices(self, n):
+        from geomstates.states import _in_body, _min_eigenvalues
+
+        basis = build_basis(n)
+        for cols in ([0, 1], [basis.m - 1], list(range(basis.m))):
+            u = _ScrambledHalton(len(cols), n).random(2000)
+            X = np.zeros((len(u), basis.m))
+            X[:, cols] = (2.0 * u - 1.0) * max_bloch_radius(n)
+            for slack in (1e-12, 1e-6):
+                want = _min_eigenvalues(basis, X) >= -slack
+                assert (_in_body(basis, X, slack, cols) == want).all()
+
+    def test_near_band_is_thin(self, monkeypatch):
+        """At n = 4 on the default slice, under 12 % of the drawn points
+        reach eigvalsh (8.3 % of these)."""
+        import geomstates.states as states
+
+        basis = build_basis(4)
+        u = _ScrambledHalton(2, 1).random(3846)
+        X = np.zeros((len(u), basis.m))
+        X[:, :2] = (2.0 * u - 1.0) * max_bloch_radius(4)
+        sent = []
+        exact = states._min_eigenvalues
+        monkeypatch.setattr(
+            states, "_min_eigenvalues", lambda b, Y: sent.append(len(Y)) or exact(b, Y)
+        )
+        inside = states._in_body(basis, X, 1e-12, [0, 1])
+        assert sum(sent) < 0.12 * len(X)
+        assert (inside == (exact(basis, X) >= -1e-12)).all()
+
+
+    def test_rows_that_are_not_finite_are_outside(self, basis3):
+        """eigvalsh returns NaN or fails to converge on them."""
+        from geomstates.states import _in_body
+
+        X = np.zeros((4, basis3.m))
+        X[1, 4] = np.nan
+        X[2, 0] = np.inf
+        X[3, 7] = -np.inf
+        with np.errstate(invalid="ignore"):
+            assert _in_body(basis3, X, 1e-6).tolist() == [True, False, False, False]
+
+
 class TestScrambledHalton:
     """The sampler of ``cli.sample_states`` and ``stationary_points``:
     bit-equal to ``scipy.stats.qmc.Halton(d, scramble=True, seed=seed)``."""
