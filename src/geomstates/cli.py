@@ -57,7 +57,6 @@ import os
 import re
 import sys
 from dataclasses import asdict, dataclass, field as dc_field
-from functools import lru_cache
 from json.encoder import encode_basestring_ascii
 from math import ceil, isfinite
 from numbers import Real
@@ -100,8 +99,6 @@ from .contraction import (
 )
 
 DEFAULT_SEED = 7
-# largest Halton draw of sample_states once its acceptance rate is known
-_DRAW_CAP = 1 << 15
 OUTPUT_KINDS = ("field-samples", "trajectory", "tensor-family", "contraction", "tables")
 
 # parameter -> (default, number type, holds a list of them, may be null)
@@ -283,8 +280,9 @@ def sample_states(basis, count, seed, anchors=(), slice_coords=None):
     systems, over a two-coordinate slice otherwise.  Positivity is tested
     in batches, one call per Halton draw, keeping accepted points in draw
     order; draws after the first are sized from the acceptance rate so
-    far.  Raises :class:`InvariantViolationError` before drawing when the
-    largest draw and the grid would not fit in memory.
+    far, and none is larger than the first.  Raises
+    :class:`InvariantViolationError` before drawing when the first draw and
+    the grid would not fit in memory.
     """
     m, n = basis.m, basis.n
     if count < 0:
@@ -306,8 +304,7 @@ def sample_states(basis, count, seed, anchors=(), slice_coords=None):
     R = max_bloch_radius(n)
     need = count - len(pts)
     k = len(cols)
-    size = max(128, 2 * need)
-    cap = max(size, _DRAW_CAP)
+    size = first = max(128, 2 * need)
     # per drawn point: the Halton sample, its transpose and four index and
     # term arrays of the same size, x and its accepted copy, the sampled
     # columns' copy, and for the positivity bounds four arrays of the
@@ -315,13 +312,13 @@ def sample_states(basis, count, seed, anchors=(), slice_coords=None):
     # density matrix, one temporary of its size and its eigenvalues; then
     # the grid, twice
     _check_memory(
-        8 * cap * (7 * k + 2 * m + 4 * n + 2 * n * (n - 1) + 4 * n * n + n)
+        8 * first * (7 * k + 2 * m + 4 * n + 2 * n * (n - 1) + 4 * n * n + n)
         + 16 * count * m,
         f"a grid of {count} sampled states",
     )
     sampler = _ScrambledHalton(k, int(seed))
     blocks = [np.reshape(pts, (-1, m))]
-    budget = 1000 * size
+    budget = 1000 * first
     drawn = kept = 0
     while need > 0 and drawn < budget:
         u = sampler.random(size)
@@ -334,7 +331,7 @@ def sample_states(basis, count, seed, anchors=(), slice_coords=None):
         kept += len(X)
         # the next draw keeps what is missing at the rate so far, with 20 %
         # to spare; the kept points are the same for any draw sizes
-        size = min(cap, max(128, ceil(1.2 * need * drawn / kept))) if kept else cap
+        size = min(first, max(128, ceil(1.2 * need * drawn / kept))) if kept else first
     if need > 0:
         raise InvariantViolationError("state sampling failed to fill the grid")
     return np.concatenate(blocks)
@@ -534,14 +531,6 @@ def static_tables_json(basis):
         "poisson": _constants_grid(basis.lie_constants),
         "jordan": _constants_grid(basis.jordan_constants),
     }
-
-
-@lru_cache(maxsize=1)
-def _tables_text(n):
-    """The bytes of the ``_tables.json`` artifact of the n-level algebra.
-    It depends on ``n`` only, so one level's document is held (2.0 MB at
-    n = 4, 12.5 MB at n = 5) and each run of that level reuses it."""
-    return _json_text(static_tables_json(build_basis(n))).encode()
 
 
 # ------------------------------------------------------------------ writers
@@ -834,7 +823,7 @@ def run_scenario(target, out_dir="geomstates-out", params=None, report=False):
 
     if "tables" in outputs:
         p = out / f"{base}_tables.json"
-        p.write_bytes(_tables_text(setup.basis.n))
+        _write_json(p, static_tables_json(setup.basis))
         lines.append(f"wrote {p}")
         artifacts["tables"] = p
 

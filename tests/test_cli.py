@@ -381,47 +381,77 @@ class TestSampling:
         for count, seed in [(300, 11), (700, 0), (4, 2**31 - 1)]:
             self._check(n, slice_coords, n_anchors, count, seed)
 
-    @pytest.mark.parametrize("n, slice_coords, n_anchors", CASES)
-    def test_many_capped_draws_keep_the_grid(self, n, slice_coords, n_anchors, monkeypatch):
-        """With a cap of one first draw, the low-acceptance slices need many
-        rate-sized draws; the grid is still the reference one."""
+    @staticmethod
+    def _record_draws(monkeypatch):
+        """The sizes of the Halton draws that ``sample_states`` makes."""
         import geomstates.cli as cli
 
         sizes = []
-        sampler = cli._ScrambledHalton
 
-        class Recording(sampler):
+        class Recording(cli._ScrambledHalton):
             def random(self, size):
                 sizes.append(size)
                 return super().random(size)
 
-        monkeypatch.setattr(cli, "_DRAW_CAP", 0)
         monkeypatch.setattr(cli, "_ScrambledHalton", Recording)
+        return sizes
+
+    @pytest.mark.parametrize("n, slice_coords, n_anchors", CASES)
+    def test_many_capped_draws_keep_the_grid(self, n, slice_coords, n_anchors, monkeypatch):
+        """No draw is larger than the first, so the low-acceptance slices
+        need many rate-sized draws; the grid is still the reference one."""
+        sizes = self._record_draws(monkeypatch)
         self._check(n, slice_coords, n_anchors, 300, 5)
         first = max(128, 2 * (300 - n_anchors))
         assert sizes[0] == first and all(128 <= s <= first for s in sizes)
         if slice_coords == (4, 5, 15):
             assert len(sizes) >= 5
 
+    @staticmethod
+    def _eigvalsh_only_figure(basis, count):
+        """The memory figure of a grid when every drawn point went through
+        ``eigvalsh``: the first draw, with no bound arrays."""
+        k, m, n = 2, basis.m, basis.n
+        first = max(128, 2 * count)
+        return 8 * first * (6 * k + 2 * m + 4 * n * n + n) + 16 * count * m
+
     def test_memory_figure_covers_the_largest_draw(self, monkeypatch):
         import geomstates.cli as cli
 
-        figures, sizes = [], []
+        figures = []
         monkeypatch.setattr(cli, "_check_memory", lambda nbytes, what: figures.append(nbytes))
-        sampler = cli._ScrambledHalton
-
-        class Recording(sampler):
-            def random(self, size):
-                sizes.append(size)
-                return super().random(size)
-
-        monkeypatch.setattr(cli, "_ScrambledHalton", Recording)
+        sizes = self._record_draws(monkeypatch)
         basis = build_basis(4)
         sample_states(basis, 500, 1, slice_coords=(4, 5, 15))
-        assert max(sizes) <= cli._DRAW_CAP
-        # at least the complex density matrices of a draw of the cap
+        assert len(sizes) > 1 and max(sizes) == sizes[0] == 1000
+        # at least the complex density matrices of the first draw, and at
+        # most a third above the figure without the bound arrays
         assert figures == [figures[0]]
-        assert figures[0] >= 8 * cli._DRAW_CAP * (2 * basis.m + 4 * basis.n**2)
+        assert figures[0] >= 8 * sizes[0] * (2 * basis.m + 4 * basis.n**2)
+        assert figures[0] <= 1.4 * self._eigvalsh_only_figure(basis, 500)
+
+    def test_small_grid_fits_where_it_did_without_bounds(self, monkeypatch):
+        """Under a limit half as much again above the address space already
+        held as a default 500-point n = 4 grid needed when every point went
+        through ``eigvalsh``, that grid is still drawn; a figure for a draw
+        of 2^15 points would not have fitted."""
+        resource = pytest.importorskip("resource")
+        import geomstates.errors as errors
+        from geomstates.errors import InvariantViolationError
+
+        held = errors._address_space_held()
+        if held is None:
+            pytest.skip("no /proc/self/statm")
+        basis = build_basis(4)
+        free = int(1.5 * self._eigvalsh_only_figure(basis, 500))
+        monkeypatch.setattr(errors, "_address_space_held", lambda: held)
+        monkeypatch.setattr(
+            resource, "getrlimit", lambda res: (held + free, resource.RLIM_INFINITY)
+        )
+        want = _per_point_samples(basis, 500, 3, [], [0, 1])
+        assert sample_states(basis, 500, 3).tobytes() == want.tobytes()
+        with pytest.raises(InvariantViolationError):
+            errors._check_memory(8 * 2**15 * (2 * basis.m + 4 * basis.n**2), "a draw")
 
     def test_oversize_grid_fails_before_drawing(self, monkeypatch):
         import geomstates.cli as cli
@@ -483,15 +513,7 @@ class TestDeterminism:
             run_scenario("phase-damping", out_dir=str(out), params={"seed": -1})
 
 
-class TestTablesText:
-    @pytest.mark.parametrize("n", [2, 3, 4])
-    def test_equals_fresh_rendering(self, n):
-        from geomstates.cli import _tables_text, static_tables_json
-
-        want = _json_text(static_tables_json(build_basis(n))).encode()
-        assert _tables_text(n) == want
-        assert _tables_text(n) is _tables_text(n)
-
+class TestStaticTables:
     def test_reruns_in_one_process_write_the_same_tables(self, tmp_path):
         from geomstates.cli import static_tables_json
 
